@@ -352,9 +352,12 @@ def _read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
         if len(cells) != len(header):
             raise InputFormatError(f"{path}:{lineno}: expected {len(header)} columns")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(math.isfinite(x) for x in row):
+            raise InputFormatError(f"{path}:{lineno}: non-finite value in {ln.strip()!r}")
+        rows.append(row)
     return header, rows
 
 
@@ -381,7 +384,9 @@ def _grid_from_t_column(ts: list[float], q: float) -> QGrid:
 @click.option("--mu", type=float, default=None,
               help="Constant coefficient when the table has no mu column.")
 @click.option("--tol", type=float, default=None)
-@click.option("--max-terms", type=int, default=None)
+@click.option("--max-terms", type=int, default=None,
+              help="Accepted for compatibility; the bound is an exact triangular "
+                   "solve and does not depend on it.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_cli_errors
@@ -390,7 +395,8 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
 
     The t column must match the q-power grid implied by its anchor within
     1e-9 relative error; solve output (t plus one value column) is accepted
-    directly with --mu supplying the constant coefficient.
+    directly with --mu supplying the constant coefficient.  Every cell must
+    be finite.  The trailer's terms_used counts the grid rows solved.
     """
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, rel_tol=tol, fmt=fmt)

@@ -4,8 +4,11 @@ its order-1 corollary, and the continuous-dependence experiment.
 The central object is the comparison series sum_k (Omega_mu^k 1): under the
 admissibility ceiling 0 <= mu(t) < 1/(t**alpha (1-q)**alpha) the diagonal
 step of the integral inequality stays solvable and any v with
-v <= v(a) + I^alpha(mu v) is dominated by v(a) times that series.  All
-hypotheses are verified numerically, never assumed.
+v <= v(a) + I^alpha(mu v) is dominated by v(a) times that series.  The
+series is the Neumann series of the lower-triangular system
+(I - W diag mu) u = 1, so it is computed as that system's forward
+substitution rather than summed.  All hypotheses are verified numerically,
+never assumed.
 """
 from __future__ import annotations
 
@@ -18,12 +21,22 @@ import numpy as np
 from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OmegaOp, OperatorKernel, build_kernel, omega_apply
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
-from .solver import NonlinearIVP, solve_marching
+from .solver import NonlinearIVP, forward_substitution, solve_marching
 from .special import MLSpec, mittag_leffler
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
 HYPOTHESIS_TOL = 1e-12
+
+#: largest comparison-series value reported; beyond it the bound is useless
+#: and a DivergenceError is raised instead.
+DIVERGENCE_LIMIT = 1e100
+
+
+def _worst_excess(excess: np.ndarray) -> float:
+    """Largest positive entry, 0 when there is none; NaN propagates."""
+    worst = float(np.max(excess))
+    return 0.0 if worst <= 0.0 else worst
 
 
 def sart_bound(grid: QGrid, alpha: FracOrder) -> np.ndarray:
@@ -60,6 +73,8 @@ class GronwallInput:
             raise DomainError("the bound is stated for orders in (0, 1]")
         if not 0 <= self.a_index < self.v.grid.count:
             raise DomainError(f"a_index {self.a_index} outside grid")
+        if not (np.isfinite(self.v.values).all() and np.isfinite(self.mu.values).all()):
+            raise DomainError("v and mu must be finite")
         if np.any(self.mu.values < 0.0):
             raise DomainError("coefficient mu must be nonnegative")
 
@@ -67,9 +82,28 @@ class GronwallInput:
 @dataclass(frozen=True, eq=False)
 class BoundResult:
     bound: GridFn
-    terms_used: int
+    terms_used: int  # grid rows solved above the lower limit
     satisfied: np.ndarray
     max_violation: float
+
+
+def _comparison_factor(kernel: OperatorKernel, mu: np.ndarray) -> np.ndarray:
+    """sum_k (Omega_mu^k 1) as the solution u of (I - W diag mu) u = 1.
+
+    Needs 1 - W[i,i] mu[i] > 0 above the lower limit (the strict ceiling).
+    Raises DivergenceError as soon as a value exceeds DIVERGENCE_LIMIT.
+    """
+
+    def row(i: int, known: float, d: float) -> tuple[float, float]:
+        u_i = known / (1.0 - d * mu[i])
+        if not u_i <= DIVERGENCE_LIMIT:
+            raise DivergenceError(
+                f"comparison series reaches {u_i:.6g} at grid index {i}, "
+                f"beyond {DIVERGENCE_LIMIT:g}"
+            )
+        return u_i, mu[i] * u_i
+
+    return forward_substitution(kernel, 1.0, row)
 
 
 def gronwall_bound(
@@ -77,13 +111,16 @@ def gronwall_bound(
 ) -> BoundResult:
     """v(a) times the comparison series, with per-point domination flags.
 
-    Terms are added by iterated operator application until the newest term's
-    sup norm drops below tolerance.  The worst-case decay rate is the sup of
-    mu(t) t**alpha (1-q)**alpha (the diagonal weight feeds each term back into
-    the next), so coefficients close to the ceiling converge slowly; outside
-    the proven regime (grid points beyond t = 1) that rate can exceed 1, and
-    sustained growth raises a divergence error instead of returning a partial
-    sum.
+    Under the strict admissibility ceiling, I - W diag(mu) is lower
+    triangular with a positive diagonal and W diag(mu) has spectral radius
+    below 1, so the series sum_k (Omega_mu^k 1) converges on every window
+    and equals the solution u of (I - W diag mu) u = 1.  The bound is
+    v(a) * u from one forward substitution: exact up to rounding, where any
+    truncated partial sum would lie below it.  ``tol`` sets the kernel's
+    product truncation.  ``max_terms`` is accepted for compatibility and no
+    longer changes the result; ``terms_used`` counts the rows solved above
+    the lower limit.  A series value above 1e100, or a non-finite bound,
+    raises DivergenceError instead of returning a useless bound.
     """
     flags = check_sart(inp.mu, inp.alpha, strict=True)
     if not bool(flags.all()):
@@ -94,45 +131,18 @@ def gronwall_bound(
         )
     grid = inp.v.grid
     kernel = build_kernel(grid, inp.a_index, inp.alpha, tol)
-    w = kernel.weights
-    mu_vals = inp.mu.values
-    term = np.ones(grid.count)
-    acc = term.copy()
-    terms_used = 1
-    prev_sup = math.inf
-    growth_run = 0
-    for _ in range(max_terms):
-        term = w @ (mu_vals * term)
-        acc = acc + term
-        terms_used += 1
-        sup = float(np.max(np.abs(term)))
-        if sup <= tol.abs_tol + tol.rel_tol * float(np.max(np.abs(acc))):
-            break
-        growth_run = growth_run + 1 if sup >= prev_sup else 0
-        if sup > 1e100:
-            raise DivergenceError(
-                f"comparison series overflowed after {terms_used} terms "
-                f"({growth_run} consecutive nondecreasing sup norms)",
-                ratio=sup / prev_sup if math.isfinite(prev_sup) else None,
-            )
-        prev_sup = sup
-    else:
-        raise DivergenceError(
-            f"comparison series missed tolerance within {max_terms} terms"
-            + (f" ({growth_run} consecutive nondecreasing sup norms)" if growth_run else ""),
-            ratio=None,
-        )
     v_a = float(inp.v.values[inp.a_index])
-    bound_vals = v_a * acc
+    bound_vals = v_a * _comparison_factor(kernel, inp.mu.values)
+    if not np.isfinite(bound_vals).all():
+        raise DivergenceError(f"bound v(a) * series overflows with v(a) = {v_a!r}")
     satisfied = np.ones(grid.count, dtype=bool)
     satisfied[inp.a_index :] = inp.v.values[inp.a_index :] <= bound_vals[inp.a_index :]
     excess = inp.v.values[inp.a_index :] - bound_vals[inp.a_index :]
-    max_violation = max(0.0, float(np.max(excess)))
     return BoundResult(
         bound=GridFn(grid, bound_vals),
-        terms_used=terms_used,
+        terms_used=grid.count - inp.a_index - 1,
         satisfied=satisfied,
-        max_violation=max_violation,
+        max_violation=_worst_excess(excess),
     )
 
 
@@ -201,8 +211,7 @@ def verify_comparison(
     holds_initial = bool(w_a >= v_a)
     checked = holds_super and holds_sub and holds_admissible and holds_initial
     if checked:
-        diff = inp.v.values[sl] - inp.w.values[sl]
-        max_violation = max(0.0, float(np.max(diff)))
+        max_violation = _worst_excess(inp.v.values[sl] - inp.w.values[sl])
         conclusion_holds = bool(max_violation <= tol)
     else:
         max_violation = math.nan
@@ -232,23 +241,21 @@ def march_integral_equation(
     if coeff.grid != kernel.grid:
         raise DomainError("coefficient and kernel live on different grids")
     grid = kernel.grid
-    a_index = kernel.a_index
     s = np.zeros(grid.count) if slack is None else slack.values
-    w = kernel.weights
     c = coeff.values
     denom = 1.0 - kernel.diagonal * c
-    bad = [i for i in range(a_index + 1, grid.count) if denom[i] <= 0.0]
+    bad = [i for i in range(kernel.a_index + 1, grid.count) if denom[i] <= 0.0]
     if bad:
         raise PreconditionError(
             f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
             indices=tuple(bad),
         )
-    y = np.empty(grid.count)
-    y[: a_index + 1] = y_a
-    for i in range(a_index + 1, grid.count):
-        known = y_a + float(w[i, a_index + 1 : i] @ (c[a_index + 1 : i] * y[a_index + 1 : i]))
-        y[i] = (known - s[i]) / denom[i]
-    return GridFn(grid, y)
+
+    def row(i: int, known: float, d: float) -> tuple[float, float]:
+        y_i = (known - s[i]) / denom[i]
+        return y_i, c[i] * y_i
+
+    return GridFn(grid, forward_substitution(kernel, y_a, row))
 
 
 def q_gronwall_classical(
@@ -262,7 +269,8 @@ def q_gronwall_classical(
     0 <= delta(t) < 1/(1-q).
 
     For constant delta the series bound is cross-checked against the
-    order-1 Mittag-Leffler closed form; a disagreement raises.
+    order-1 Mittag-Leffler closed form; a disagreement raises.  ``max_terms``
+    is passed on to :func:`gronwall_bound`, which ignores it.
     """
     grid = v.grid
     q = grid.q
@@ -315,23 +323,14 @@ def _ml_bound_factor(
     grid: QGrid, a_index: int, alpha: FracOrder, lam: float, tol: Tolerance
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
-    operator series sum_k (Omega_lam^k 1) which it must equal term-for-term."""
+    comparison series sum_k (Omega_lam^k 1), which it must equal."""
     a = grid.points[a_index]
     q = grid.q
     out = np.ones(grid.count)
     for i in range(a_index, grid.count):
         out[i] = mittag_leffler(MLSpec(alpha.alpha, 1.0, lam, a, tol), grid.points[i], q).value
     kernel = build_kernel(grid, a_index, alpha, tol)
-    op = OmegaOp(kernel=kernel, x=GridFn.constant(grid, lam))
-    term = GridFn(grid, np.ones(grid.count))
-    series = np.array(term.values)
-    for _ in range(512):
-        term = omega_apply(op, term)
-        series += term.values
-        if float(np.max(np.abs(term.values))) <= tol.abs_tol + tol.rel_tol * float(
-            np.max(np.abs(series))
-        ):
-            break
+    series = _comparison_factor(kernel, np.full(grid.count, lam))
     mismatch = np.max(np.abs(series[a_index:] - out[a_index:]))
     if mismatch > 1000.0 * (tol.abs_tol + tol.rel_tol * float(np.max(np.abs(out)))):
         raise QFracError(
@@ -380,7 +379,7 @@ def dependence_experiment(
     bound = abs(gamma - beta) * factor
     sl = slice(a_index, grid.count)
     excess = abs_diff[sl] - bound[sl]
-    max_excess = max(0.0, float(np.max(excess)))
+    max_excess = _worst_excess(excess)
     bound_holds = bool(max_excess <= bound_slack)
     gammas: list[float] = []
     sups: list[float] = []

@@ -5,11 +5,13 @@ coefficient-weighted summation operator used by the comparison series.
 On a grid window the q-integral from the lower limit a to any point is an
 exact finite sum over the points in (a, t], so the fractional integral is
 materialized once per (grid, a, order) as a lower-triangular weight matrix;
-every later application is a triangular mat-vec.
+every later application is a triangular mat-vec.  The most recent kernels
+are kept in a small cache, since the matrices are read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import math
 
@@ -86,14 +88,29 @@ class OperatorKernel:
         return np.diagonal(self.weights)
 
 
+#: kernels kept by :func:`build_kernel`; 8 dense kernels at 128 points take 1 MB.
+KERNEL_CACHE_SIZE = 8
+
+
 def build_kernel(
     grid: QGrid, a_index: int, alpha: FracOrder, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorKernel:
-    """Materialize the left fractional integral of order alpha from points[a_index]."""
+    """Materialize the left fractional integral of order alpha from points[a_index].
+
+    The last KERNEL_CACHE_SIZE kernels are reused for repeated
+    (grid, a_index, alpha, tol); a kernel's weights are read-only, so sharing
+    one between callers is safe.
+    """
     if not 0 <= a_index < grid.count:
         raise BoundaryError(f"a_index {a_index} outside grid of {grid.count} points")
+    return _build_kernel_cached(grid, int(a_index), float(alpha.alpha), tol)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _build_kernel_cached(
+    grid: QGrid, a_index: int, al: float, tol: Tolerance
+) -> OperatorKernel:
     q = grid.q
-    al = alpha.alpha
     g = gamma_q(al, q, tol)
     w = np.zeros((grid.count, grid.count))
     for i in range(a_index + 1, grid.count):
@@ -101,7 +118,7 @@ def build_kernel(
         for j in range(a_index + 1, i + 1):
             tj = grid.points[j]
             w[i, j] = (1.0 - q) * tj * q_factorial_power(ti, q * tj, al - 1.0, q, tol) / g
-    return OperatorKernel(grid=grid, a_index=a_index, alpha=alpha, weights=w)
+    return OperatorKernel(grid=grid, a_index=a_index, alpha=FracOrder(al), weights=w)
 
 
 def fractional_integral(f: GridFn, kernel: OperatorKernel) -> GridFn:

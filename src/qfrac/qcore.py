@@ -243,7 +243,11 @@ def q_factorial_power(
     return sign * t ** nu * math.exp(math.fsum(logs))
 
 
-@lru_cache(maxsize=None)
+#: gamma_q values kept; covers the working set of one closed-form solve.
+GAMMA_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
 def _gamma_q_cached(
     alpha: float, q: float, rel_tol: float, abs_tol: float, max_terms: int
 ) -> float:
@@ -255,9 +259,9 @@ def gamma_q(alpha: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Gamma_q(alpha) from the product representation (1-q)_q^(alpha-1) / (1-q)^(alpha-1).
 
     Satisfies Gamma_q(alpha + 1) = [alpha]_q Gamma_q(alpha), Gamma_q(1) = 1,
-    and Gamma_q(n + 1) = [n]_q!.  Values are cached per (alpha, q, tolerance);
-    entries are pure function values, so concurrent reads and duplicate
-    inserts are harmless.
+    and Gamma_q(n + 1) = [n]_q!.  The last GAMMA_CACHE_SIZE values are cached
+    per (alpha, q, tolerance); entries are pure function values, so
+    concurrent reads and duplicate inserts are harmless.
     """
     _check_q(q)
     if not alpha > 0:

@@ -10,6 +10,8 @@ on the equivalent integral equation y = y0 + I^alpha f(t, y):
 Marching exploits the triangular kernel: at each grid point the only
 implicit contribution carries the diagonal weight (1-q)**alpha t**alpha, so
 one scalar damped fixed-point iteration per point suffices.
+:func:`forward_substitution` is that row loop; the linear integral equations
+of :mod:`qfrac.gronwall` and :mod:`qfrac.verify` run through it too.
 """
 from __future__ import annotations
 
@@ -208,6 +210,32 @@ def _scalar_fixed_point(
     )
 
 
+def forward_substitution(
+    kernel: OperatorKernel,
+    base: float,
+    row: Callable[[int, float, float], tuple[float, float]],
+) -> np.ndarray:
+    """Solve y = base + W g row by row, in increasing t, where g_i depends on y_i.
+
+    Rows at and below the lower limit are ``base`` and their history entries
+    are zero.  Above it, ``row(i, known, W[i, i])`` returns y_i and its history
+    entry g_i, where known = base + sum_{j<i} W[i, j] g_j is the explicit
+    part.  The hook decides how the implicit diagonal term is solved (a
+    division for linear equations, a scalar fixed point otherwise) and may
+    raise to stop the march.
+    """
+    a_index = kernel.a_index
+    w = kernel.weights
+    diag = kernel.diagonal
+    y = np.empty(kernel.grid.count)
+    y[: a_index + 1] = base
+    g = np.zeros(kernel.grid.count)
+    for i in range(a_index + 1, kernel.grid.count):
+        known = base + float(w[i, :i] @ g[:i])
+        y[i], g[i] = row(i, known, diag[i])
+    return y
+
+
 def solve_marching(
     p: NonlinearIVP, tol: Tolerance = DEFAULT_TOL, max_inner: int = 100
 ) -> SolveReport:
@@ -226,27 +254,25 @@ def solve_marching(
             f"indices {bad}",
             indices=tuple(bad),
         )
-    w = kernel.weights
-    y = np.empty(p.grid.count)
-    y[: p.a_index + 1] = p.y0
-    fvals = np.zeros(p.grid.count)
+    y_prev = p.y0
     inner_total = 0
-    for i in range(p.a_index + 1, p.grid.count):
+
+    def step(i: int, known: float, d: float) -> tuple[float, float]:
+        nonlocal y_prev, inner_total
         ti = p.grid.points[i]
-        known = p.y0 + float(w[i, : i] @ fvals[: i])
-        d = diag[i]
         try:
             yi, used = _scalar_fixed_point(
-                lambda v: known + d * p.rhs(ti, v), y[i - 1], tol, max_inner
+                lambda v: known + d * p.rhs(ti, v), y_prev, tol, max_inner
             )
         except NonConvergenceError as exc:
             raise StepError(
                 f"marching stalled at grid index {i} (t={ti!r})", index=i,
                 last_delta=exc.last_delta,
             ) from exc
-        y[i] = yi
-        fvals[i] = p.rhs(ti, yi)
+        y_prev = yi
         inner_total += used
-    sol = GridFn(p.grid, y)
+        return yi, p.rhs(ti, yi)
+
+    sol = GridFn(p.grid, forward_substitution(kernel, p.y0, step))
     residual = float(np.max(nonlinear_defect(p, sol, tol, kernel)))
     return SolveReport(sol, iterations=inner_total, residual=residual, method="marching")

@@ -37,7 +37,14 @@ from .qcore import (
     q_bracket,
     q_factorial_power,
 )
-from .solver import LinearIVP, NonlinearIVP, solve_linear_closed, solve_linear_iterative, solve_marching
+from .solver import (
+    LinearIVP,
+    NonlinearIVP,
+    forward_substitution,
+    solve_linear_closed,
+    solve_linear_iterative,
+    solve_marching,
+)
 from .special import MLSpec, mittag_leffler
 
 _TINY = 1e-300
@@ -237,18 +244,13 @@ def suite_ratio(seed: int, cases: int | None = None):
 def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> GridFn:
     """March v = v_a + I^alpha(mu v) - slack with slack clamped so v stays
     nonnegative (slack_i <= accumulated history), preserving the inequality."""
-    grid = kernel.grid
-    w = kernel.weights
     c = mu.values
-    y = np.empty(grid.count)
-    y[: kernel.a_index + 1] = v_a
-    for i in range(kernel.a_index + 1, grid.count):
-        known = v_a + float(
-            w[i, kernel.a_index + 1 : i] @ (c[kernel.a_index + 1 : i] * y[kernel.a_index + 1 : i])
-        )
-        slack = min(raw_slack[i], known)
-        y[i] = (known - slack) / (1.0 - w[i, i] * c[i])
-    return GridFn(grid, y)
+
+    def row(i: int, known: float, d: float) -> tuple[float, float]:
+        y_i = (known - min(raw_slack[i], known)) / (1.0 - d * c[i])
+        return y_i, c[i] * y_i
+
+    return GridFn(kernel.grid, forward_substitution(kernel, v_a, row))
 
 
 def suite_gronwall(seed: int, cases: int | None = None):

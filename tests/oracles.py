@@ -7,6 +7,7 @@ randomized cross-checks.
 """
 import math
 
+import numpy as np
 from mpmath import mp, mpf, power
 
 mp.dps = 50
@@ -114,3 +115,29 @@ def ref_jackson_integral(f, t, q, terms=64):
     for i in range(terms):
         tot += q**i * f(t * q**i)
     return (1 - q) * t * tot
+
+
+def comparison_series(weights, mu, max_terms, rel_tol=0.0):
+    """Partial sums S_0, S_1, ... of sum_k (W diag mu)^k 1 by repeated
+    mat-vecs in double precision: the series the Gronwall-type bound is
+    defined by.  Stops after max_terms terms, or once the newest term's sup
+    norm is at most rel_tol times the sum's.  The kernel comes in as a plain
+    array, so this checks the summation, not the kernel."""
+    term = np.ones(len(mu))
+    sums = [term.copy()]
+    for _ in range(max_terms):
+        term = weights @ (mu * term)
+        sums.append(sums[-1] + term)
+        if np.max(np.abs(term)) <= rel_tol * np.max(np.abs(sums[-1])):
+            break
+    return sums
+
+
+def ref_order_one_factor(pts, a_idx, delta, q):
+    """Order-1 comparison series in closed form: at pts[i] it is
+    prod_{a < j <= i} 1 / (1 - (1-q) t_j delta_j), and 1 at and below a."""
+    q = mpf(q)
+    out = [mpf(1)] * (a_idx + 1)
+    for j in range(a_idx + 1, len(pts)):
+        out.append(out[-1] / (1 - (1 - q) * pts[j] * mpf(delta[j])))
+    return out

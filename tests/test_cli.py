@@ -180,6 +180,14 @@ def test_bound_missing_mu_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def test_bound_nan_cell_exit_3(runner, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,v\n0.5,1\n1,nan\n", encoding="utf-8")
+    res = runner.invoke(main, ["bound", str(path), "--q", "0.5", "--alpha", "0.5", "--mu", "0.1"])
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"] == "InputFormatError"
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_suite_clean(runner):
@@ -292,3 +300,13 @@ def test_process_level_determinism():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_import_leaves_scipy_out():
+    # scipy.linalg alone takes ~0.6 s to import, more than a whole CLI call
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qfrac; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

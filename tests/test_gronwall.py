@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from oracles import comparison_series, ref_grid, ref_order_one_factor
 from qfrac.errors import DivergenceError, DomainError, PreconditionError
 from qfrac.gronwall import (
     ComparisonInput,
     GronwallInput,
+    _worst_excess,
     check_sart,
     dependence_experiment,
     gronwall_bound,
@@ -152,16 +154,89 @@ def test_bound_rejects_negative_mu():
                       alpha=ALPHA, a_index=0)
 
 
-def test_bound_diverges_beyond_unit_window():
-    # admissible mu, but the window extends past t = 1 where the series can
-    # outgrow any budget: fail loudly
+def test_bound_finite_beyond_unit_window():
+    # admissible mu on a window past t = 1: the series needs ~40,000 terms
+    # there, but it converges, and the bound is its exact sum
     big = make_grid(Q, 3, 10)  # up to t = 64
     alpha = FracOrder(0.5)
     ceiling = sart_bound(big, alpha)
     mu = GridFn(big, 0.999 * ceiling)
     v = GridFn.constant(big, 1.0)
+    res = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0), max_terms=64)
+    u = res.bound.values
+    assert np.isfinite(u).all()
+    w = build_kernel(big, 0, alpha).weights
+    partial = comparison_series(w, mu.values, max_terms=64)[-1]
+    assert np.all(u >= partial)
+    residual = u - (1.0 + w @ (mu.values * u))
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_bound_diverges_on_long_window():
+    # the same coefficient out to t = 2**36: the exact bound passes 1e100
+    long = make_grid(Q, 3, 40)
+    alpha = FracOrder(0.5)
+    mu = GridFn(long, 0.999 * sart_bound(long, alpha))
     with pytest.raises(DivergenceError):
-        gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0), max_terms=64)
+        gronwall_bound(GronwallInput(v=GridFn.constant(long, 1.0), mu=mu, alpha=alpha, a_index=0))
+
+
+def test_bound_rejects_nonfinite_input():
+    nan_at_3 = np.ones(GRID.count)
+    nan_at_3[3] = np.nan
+    with pytest.raises(DomainError):
+        GronwallInput(v=GridFn(GRID, nan_at_3), mu=GridFn.constant(GRID, 0.1),
+                      alpha=ALPHA, a_index=0)
+    with pytest.raises(DomainError):
+        GronwallInput(v=GridFn.constant(GRID, 1.0), mu=GridFn(GRID, 0.1 * nan_at_3),
+                      alpha=ALPHA, a_index=0)
+
+
+def test_worst_excess_propagates_nan():
+    assert _worst_excess(np.array([-1.0, -2.0])) == 0.0
+    assert _worst_excess(np.array([-1.0, 0.5])) == 0.5
+    assert math.isnan(_worst_excess(np.array([np.nan, 1.0])))
+
+
+@hypothesis.given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    q=st.floats(min_value=0.2, max_value=0.9),
+    alpha=st.floats(min_value=0.1, max_value=1.0),
+    count=st.integers(min_value=2, max_value=14),
+)
+@hypothesis.settings(max_examples=30)
+def test_bound_is_the_converged_series_property(seed, q, alpha, count):
+    # the solve dominates every partial sum and equals the converged series;
+    # partial sums carry a few ulps of their own rounding, hence the 1e-13
+    rng = np.random.default_rng(seed)
+    grid = make_grid(q, count - 1, count)
+    order = FracOrder(alpha)
+    mu = rng.uniform(0.0, 0.98, count) * sart_bound(grid, order)
+    u = gronwall_bound(GronwallInput(v=GridFn.constant(grid, 1.0), mu=GridFn(grid, mu),
+                                     alpha=order, a_index=0)).bound.values
+    sums = comparison_series(build_kernel(grid, 0, order).weights, mu, 10_000, rel_tol=1e-17)
+    for partial in sums:
+        assert np.all(partial <= u * (1.0 + 1e-13))
+    assert np.allclose(sums[-1], u, rtol=1e-12, atol=0.0)
+
+
+def test_order_one_bound_matches_exact_product():
+    # order 1: u_i = u_{i-1} / (1 - (1-q) t_i delta_i), so the bound is a
+    # finite product; delta stays at or below 0.9 of the ceiling 1/(1-q),
+    # where rounding of the inputs moves the product by at most ~10 ulps
+    rng = np.random.default_rng(3)
+    for q in (0.3, 0.5):
+        grid = make_grid(q, 11, 12)
+        deltas = [np.full(grid.count, f / (1.0 - q)) for f in (0.15, 0.45, 0.9)]
+        deltas.append(rng.uniform(0.0, 0.9 / (1.0 - q), grid.count))
+        for delta in deltas:
+            for a_index in (0, 4):
+                res = gronwall_bound(GronwallInput(
+                    v=GridFn.constant(grid, 1.0), mu=GridFn(grid, delta),
+                    alpha=FracOrder(1.0), a_index=a_index))
+                want = ref_order_one_factor(ref_grid(q, 11, 12), a_index, delta, q)
+                for got, ref in zip(res.bound.values, want):
+                    assert abs(got - float(ref)) <= 1e-14 * float(ref), (q, a_index)
 
 
 # ---------------------------------------------------------------- comparison

@@ -7,6 +7,7 @@ import pytest
 
 from qfrac.errors import BoundaryError, DomainError, GridMismatchError
 from qfrac.operators import (
+    KERNEL_CACHE_SIZE,
     OmegaOp,
     build_kernel,
     caputo_derivative,
@@ -120,6 +121,17 @@ def test_kernel_lower_triangular_and_nonnegative():
                 assert k.weights[i, j] == 0.0
             else:
                 assert k.weights[i, j] >= 0.0
+
+
+def test_kernel_cache_reuses_read_only_kernels_and_evicts():
+    k = build_kernel(GRID, 0, FracOrder(0.5))
+    assert build_kernel(make_grid(Q, 7, 10), 0, FracOrder(0.5)) is k  # equal grid
+    assert not k.weights.flags.writeable
+    for n in range(1, KERNEL_CACHE_SIZE + 1):
+        build_kernel(make_grid(Q, 7, n), 0, FracOrder(0.5))
+    rebuilt = build_kernel(GRID, 0, FracOrder(0.5))
+    assert rebuilt is not k
+    assert np.array_equal(rebuilt.weights, k.weights)
 
 
 def test_kernel_diagonal_identity():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qfrac.errors import DomainError, GridMismatchError, RangeError
 from qfrac.qcore import (
+    GAMMA_CACHE_SIZE,
     FracOrder,
     GridFn,
     Tolerance,
@@ -14,6 +15,7 @@ from qfrac.qcore import (
     q_bracket,
     q_factorial_power,
     q_pochhammer,
+    _gamma_q_cached,
 )
 
 from oracles import ref_gamma_q, ref_qfp
@@ -161,6 +163,12 @@ def test_gamma_q_known_values():
 def test_gamma_q_frozen_oracle_value():
     assert gamma_q(0.5, 0.5) == pytest.approx(1.5720327257863239, rel=1e-13)
     assert gamma_q(1.5, 0.5) == pytest.approx(0.9208754502712838, rel=1e-13)
+
+
+def test_gamma_q_cache_is_bounded():
+    for k in range(GAMMA_CACHE_SIZE + 10):
+        gamma_q(1.0 + k / 4096.0, 0.5)
+    assert _gamma_q_cached.cache_info().currsize == GAMMA_CACHE_SIZE
 
 
 def test_gamma_q_recurrence():
