@@ -134,14 +134,19 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def _resolve(flag, cfg: dict[str, str], key: str, cast, default):
+    """Flag value, else the config value, else the default; numbers must be finite."""
     if flag is not None:
-        return flag
-    if key in cfg:
+        value = flag
+    elif key in cfg:
         try:
-            return cast(cfg[key])
+            value = cast(cfg[key])
         except ValueError as exc:
             raise InputFormatError(f"config key {key!r}: {exc}") from exc
-    return default
+    else:
+        return default
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputFormatError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _run_config(cfg: dict[str, str], **flags) -> RunConfig:

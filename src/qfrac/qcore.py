@@ -15,12 +15,13 @@ the identities tested at 1e-10 survive bases close to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, PoleError, RangeError
+from .errors import DomainError, GridMismatchError, NonConvergenceError, PoleError, RangeError
 
 MACHINE_EPS = 2.0 ** -52
 
@@ -177,11 +178,87 @@ def q_pochhammer(q: float, n: int) -> float:
     return prod
 
 
+def _full_truncation_index(q: float) -> int:
+    return math.ceil(math.log(MACHINE_EPS) / math.log(q))
+
+
 def product_truncation_index(q: float, max_terms: int = DEFAULT_TOL.max_terms) -> int:
     """Number of factors after which every omitted q-product factor is within
     machine epsilon of 1 (geometric tail), capped by max_terms."""
     _check_q(q)
-    return max(1, min(int(max_terms), math.ceil(math.log(MACHINE_EPS) / math.log(q))))
+    return max(1, min(int(max_terms), _full_truncation_index(q)))
+
+
+#: Factor count from which :func:`_q_product` evaluates all factors in one
+#: numpy pass instead of a Python loop.  Below it numpy's per-call overhead
+#: outweighs the saving: on CPython 3.11 / numpy 2.4 (2.1 GHz Xeon) the two
+#: break even near 105 factors for Gamma_q-shaped products, where every factor
+#: is used, and near 125 for the kernel entries of a 48-point window, whose
+#: products stop earlier.
+NUMPY_PRODUCT_MIN_FACTORS = 128
+
+
+def _q_product(
+    x0: float, q: float, num: float, den: float, max_terms: int, extra: int = 0
+) -> tuple[float, float, int]:
+    """prod_i (1 + delta_i), delta_i = x_i num / (1 - x_i den), x_i = x0 q**i.
+
+    Evaluates ``min(ceil(ln eps / ln q), max_terms) + extra`` factors at most
+    and stops after the first one with |delta_i| < eps/8 (the deltas shrink
+    geometrically, so the omitted tail stays below one ulp).  Returns
+    ``(sign, log_abs, factors_used)``: the product is ``sign * exp(log_abs)``,
+    with ``log_abs`` the fsum of the factors' log1p values.  A factor that is
+    exactly zero ends the product with sign 0.0, counted in factors_used; a
+    zero denominator raises PoleError.  When max_terms caps the factor count
+    and the cut-off is not reached, NonConvergenceError is raised instead of
+    returning a truncated product.
+
+    Long products take one numpy pass that repeats the loop's floating-point
+    operations exactly: the geometric sequence by repeated multiplication,
+    the same delta expression, and libm log1p on each factor (np.log1p can
+    differ in the last bit).  It returns only in the common case, every factor
+    positive and finite and the product not cut short by max_terms; anything
+    else runs the loop.
+    """
+    full = _full_truncation_index(q)
+    count = max(1, min(int(max_terms), full)) + extra
+    if count >= NUMPY_PRODUCT_MIN_FACTORS:
+        seq = np.full(count, q)
+        seq[0] = x0
+        with np.errstate(all="ignore"):
+            x = np.multiply.accumulate(seq)
+            delta = x * num / (1.0 - x * den)
+            done = np.flatnonzero(np.abs(delta) < MACHINE_EPS / 8.0)
+            used = int(done[0]) + 1 if done.size else count
+            delta = delta[:used]
+            factor = 1.0 + delta
+        if (done.size or max_terms >= full) and 0.0 < factor.min() and factor.max() < math.inf:
+            return 1.0, math.fsum(map(math.log1p, delta.tolist())), used
+    sign = 1.0
+    logs: list[float] = []
+    x = x0
+    for i in range(count):
+        d = 1.0 - x * den
+        if d == 0.0:
+            raise PoleError(f"q-product denominator vanishes at factor {i}")
+        delta = x * num / d
+        factor = 1.0 + delta
+        if factor == 0.0:
+            return 0.0, 0.0, i + 1
+        if factor < 0.0:
+            sign = -sign
+            logs.append(math.log(-factor))
+        else:
+            logs.append(math.log1p(delta))
+        if abs(delta) < MACHINE_EPS / 8.0:
+            break
+        x *= q
+    else:
+        if max_terms < full:
+            raise NonConvergenceError(
+                f"q-product at q={q!r} needs {full} factors, more than max_terms={max_terms}"
+            )
+    return sign, math.fsum(logs), len(logs)
 
 
 def q_factorial_power(
@@ -193,7 +270,8 @@ def q_factorial_power(
     any s.  Every other nu uses the infinite product
     t**nu * prod_i (1 - (s/t) q**i) / (1 - (s/t) q**(i+nu)), which needs
     s/t < 1; s == t is admitted for nu > 0, where the i = 0 factor forces 0.
-    (t - s)_q^0 is 1 for all admissible arguments.
+    (t - s)_q^0 is 1 for all admissible arguments.  An infinite product that
+    would need more than tol.max_terms factors raises NonConvergenceError.
     """
     _check_q(q)
     if not t > 0:
@@ -214,33 +292,18 @@ def q_factorial_power(
         raise DomainError(f"product branch of (t-s)_q^nu needs s/t < 1, got s/t = {r!r}")
     if r == 0.0:
         return t ** nu
-    # Each factor is 1 + delta_i with delta_i = r q^i (q^nu - 1) / (1 - r q^(i+nu));
-    # the deltas shrink geometrically, so stopping once |delta| is sub-epsilon
-    # bounds the omitted tail below one ulp of the product.
+    # factor i is 1 + delta_i, delta_i = r q^i (q^nu - 1) / (1 - r q^(i+nu))
     log_q = math.log(q)
-    q_nu = math.exp(nu * log_q)
-    q_nu_m1 = math.expm1(nu * log_q)
-    logs: list[float] = []
-    sign = 1.0
-    rqi = r
-    for _ in range(product_truncation_index(q, tol.max_terms)):
-        den = 1.0 - rqi * q_nu
-        if den == 0.0:
-            # reachable only for nu < 0 with s/t = q**(-(i+nu))
-            raise PoleError(f"(t-s)_q^{nu} has a pole at s/t = {r!r}")
-        delta = rqi * q_nu_m1 / den
-        factor = 1.0 + delta
-        if factor == 0.0:
-            return 0.0
-        if factor < 0.0:
-            sign = -sign
-            logs.append(math.log(-factor))
-        else:
-            logs.append(math.log1p(delta))
-        if abs(delta) < MACHINE_EPS / 8.0:
-            break
-        rqi *= q
-    return sign * t ** nu * math.exp(math.fsum(logs))
+    try:
+        sign, log_abs, _ = _q_product(
+            r, q, math.expm1(nu * log_q), math.exp(nu * log_q), tol.max_terms
+        )
+    except PoleError:
+        # reachable only for nu < 0 with s/t = q**(-(i+nu))
+        raise PoleError(f"(t-s)_q^{nu} has a pole at s/t = {r!r}") from None
+    if sign == 0.0:
+        return 0.0
+    return sign * t ** nu * math.exp(log_abs)
 
 
 #: gamma_q values kept; covers the working set of one closed-form solve.
@@ -252,7 +315,17 @@ def _gamma_q_cached(
     alpha: float, q: float, rel_tol: float, abs_tol: float, max_terms: int
 ) -> float:
     tol = Tolerance(rel_tol, abs_tol, max_terms)
-    return q_factorial_power(1.0, q, alpha - 1.0, q, tol) / (1.0 - q) ** (alpha - 1.0)
+    num = q_factorial_power(1.0, q, alpha - 1.0, q, tol)
+    den = (1.0 - q) ** (alpha - 1.0)
+    if den >= sys.float_info.min:
+        value = num / den
+    else:
+        # den lost precision to underflow: divide by its square root twice
+        half = (1.0 - q) ** (0.5 * (alpha - 1.0))
+        value = num / half / half
+    if not math.isfinite(value):
+        raise RangeError(f"Gamma_q({alpha!r}) at q={q!r} overflows the float range")
+    return value
 
 
 def gamma_q(alpha: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -27,6 +27,12 @@ from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, q_factorial
 from .special import MLSpec, convergence_ratio_estimate, mittag_leffler, mittag_leffler_modified
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearIVP:
     """y' = lam * y + forcing(t) (Caputo sense, order in (0, 1]), y(a) = y0."""
@@ -42,6 +48,7 @@ class LinearIVP:
             raise DomainError("linear solver is restricted to orders in (0, 1]")
         if not 0 <= self.a_index < self.forcing.grid.count:
             raise DomainError(f"a_index {self.a_index} outside grid")
+        _check_finite(lam=self.lam, y0=self.y0)
 
     @property
     def grid(self) -> QGrid:
@@ -66,6 +73,7 @@ class NonlinearIVP:
             raise DomainError(f"a_index {self.a_index} outside grid")
         if self.lipschitz < 0:
             raise DomainError("Lipschitz constant must be nonnegative")
+        _check_finite(y0=self.y0, lipschitz=self.lipschitz)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from .errors import DivergenceError, DomainError, NonConvergenceError, PoleError, QFracError
 from .qcore import (
     DEFAULT_TOL,
-    MACHINE_EPS,
     Tolerance,
     _check_q,
+    _q_product,
     gamma_q,
-    product_truncation_index,
     q_bracket,
     q_factorial_power,
 )
@@ -44,6 +43,8 @@ class MLSpec:
             raise DomainError("beta must be positive")
         if self.t0 < 0:
             raise DomainError("t0 must be nonnegative")
+        if not math.isfinite(self.lam):
+            raise DomainError(f"lam must be finite, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -197,25 +198,12 @@ def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, in
     _check_q(q)
     if t == 0.0:
         return 1.0, 0
-    n_cut = product_truncation_index(q, tol.max_terms)
-    if abs(t) > 1.0:
-        n_cut += math.ceil(math.log(abs(t)) / math.log(1.0 / q))
-    logs: list[float] = []
-    sign = 1.0
-    qn_t = float(t)
-    for n in range(n_cut):
-        factor = 1.0 - qn_t
-        if factor == 0.0:
-            raise PoleError(f"E_q pole: q**{n} * t == 1")
-        if factor < 0.0:
-            sign = -sign
-            logs.append(math.log(-factor))
-        else:
-            logs.append(math.log1p(-qn_t))
-        if abs(qn_t) < MACHINE_EPS / 8.0:
-            break
-        qn_t *= q
-    product = sign * math.exp(-math.fsum(logs))
+    extra = math.ceil(math.log(abs(t)) / math.log(1.0 / q)) if abs(t) > 1.0 else 0
+    # factor n is 1 - q**n t, i.e. delta_n = -q**n t
+    sign, log_abs, used = _q_product(float(t), q, -1.0, 0.0, tol.max_terms, extra)
+    if sign == 0.0:
+        raise PoleError(f"E_q pole: q**{used - 1} * t == 1")
+    product = sign * math.exp(-log_abs)
     # the series needs O(1/(1-|t|)) terms, so the agreement check stops at
     # |t| = 0.9; past that only the product representation stands
     if abs(t) <= 0.9:
@@ -224,7 +212,7 @@ def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, in
             raise QFracError(
                 f"E_q product/series disagreement at t={t!r}: {product!r} vs {series!r}"
             )
-    return product, len(logs)
+    return product, used
 
 
 def _q_exp_big_series(t: float, q: float, tol: Tolerance) -> float:

@@ -3,12 +3,17 @@
 These are deliberately independent of the package under test: plain product
 and series formulas, straight loops, no kernel matrices, no incremental
 updates.  Tests freeze values produced here or call them directly for
-randomized cross-checks.
+randomized cross-checks.  The ``loop_*`` functions at the end are the
+double-precision scalar loops that the package's q-product routine must
+reproduce bit for bit.
 """
 import math
 
 import numpy as np
 from mpmath import mp, mpf, power
+
+from qfrac.errors import DomainError, PoleError, QFracError
+from qfrac.special import _q_exp_big_series
 
 mp.dps = 50
 
@@ -141,3 +146,95 @@ def ref_order_one_factor(pts, a_idx, delta, q):
     for j in range(a_idx + 1, len(pts)):
         out.append(out[-1] / (1 - (1 - q) * pts[j] * mpf(delta[j])))
     return out
+
+
+# ------------------------------------------------ scalar q-product loops
+
+LOOP_EPS = 2.0 ** -52
+
+
+def _loop_factor_count(q, max_terms):
+    return max(1, min(int(max_terms), math.ceil(math.log(LOOP_EPS) / math.log(q))))
+
+
+def loop_q_factorial_power(t, s, nu, q, max_terms=10_000):
+    """(t - s)_q^nu by the factor-by-factor loop: log1p of each factor,
+    fsum of the logs, stop after the first factor within eps/8 of 1."""
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
+    if not t > 0:
+        raise DomainError(f"q_factorial_power needs t > 0, got {t!r}")
+    if s < 0:
+        raise DomainError(f"q_factorial_power needs s >= 0, got {s!r}")
+    if float(nu).is_integer() and nu >= 0:
+        prod = 1.0
+        qi = 1.0
+        for _ in range(int(nu)):
+            prod *= t - qi * s
+            qi *= q
+        return prod
+    r = s / t
+    if r == 1.0 and nu > 0:
+        return 0.0
+    if r >= 1.0:
+        raise DomainError(f"product branch of (t-s)_q^nu needs s/t < 1, got s/t = {r!r}")
+    if r == 0.0:
+        return t ** nu
+    log_q = math.log(q)
+    q_nu = math.exp(nu * log_q)
+    q_nu_m1 = math.expm1(nu * log_q)
+    logs = []
+    sign = 1.0
+    rqi = r
+    for _ in range(_loop_factor_count(q, max_terms)):
+        den = 1.0 - rqi * q_nu
+        if den == 0.0:
+            raise PoleError(f"(t-s)_q^{nu} has a pole at s/t = {r!r}")
+        delta = rqi * q_nu_m1 / den
+        factor = 1.0 + delta
+        if factor == 0.0:
+            return 0.0
+        if factor < 0.0:
+            sign = -sign
+            logs.append(math.log(-factor))
+        else:
+            logs.append(math.log1p(delta))
+        if abs(delta) < LOOP_EPS / 8.0:
+            break
+        rqi *= q
+    return sign * t ** nu * math.exp(math.fsum(logs))
+
+
+def loop_q_exp_big(t, q, tol):
+    """(E_q(t), factors used) by the loop over the factors 1 - q**n t of
+    1 / E_q(t).  For |t| <= 0.9 the product is checked against the package's
+    power series, as ``qfrac.special`` does; only the product is reproduced
+    here, the series check is the package's own."""
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"base q must lie in (0, 1), got {q!r}")
+    if t == 0.0:
+        return 1.0, 0
+    n_cut = _loop_factor_count(q, tol.max_terms)
+    if abs(t) > 1.0:
+        n_cut += math.ceil(math.log(abs(t)) / math.log(1.0 / q))
+    logs = []
+    sign = 1.0
+    qn_t = float(t)
+    for n in range(n_cut):
+        factor = 1.0 - qn_t
+        if factor == 0.0:
+            raise PoleError(f"E_q pole: q**{n} * t == 1")
+        if factor < 0.0:
+            sign = -sign
+            logs.append(math.log(-factor))
+        else:
+            logs.append(math.log1p(-qn_t))
+        if abs(qn_t) < LOOP_EPS / 8.0:
+            break
+        qn_t *= q
+    product = sign * math.exp(-math.fsum(logs))
+    if abs(t) <= 0.9:
+        series = _q_exp_big_series(t, q, tol)
+        if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(product)):
+            raise QFracError(f"E_q product/series disagreement at t={t!r}")
+    return product, len(logs)

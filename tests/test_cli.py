@@ -64,6 +64,47 @@ def test_eval_domain_error_exit_code(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "gamma", "--alpha", "1100", "--q", "0.5"],
+    ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--lambda", "1.413", "--q", "0.5", "--t", "1"],
+    ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--lambda", "1.4", "--q", "0.5", "--t", "1"],
+])
+def test_eval_gamma_overflow_is_range_error(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "RangeError"
+    assert res.stdout == ""
+
+
+def test_eval_gamma_near_one_refuses_truncated_product(runner):
+    res = runner.invoke(main, ["eval", "gamma", "--alpha", "0.5", "--q", "0.999"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "NonConvergenceError"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("args", [
+    ["eval", "Eq", "--q", "0.5", "--t", "{}"],
+    ["eval", "gamma", "--q", "{}", "--alpha", "2"],
+    ["solve", "--problem", "linear", "--lambda", "{}", "--steps", "6"],
+    ["solve", "--y0", "{}", "--steps", "6"],
+    ["demo", "--L", "{}"],
+])
+def test_nonfinite_flag_exit_3(runner, args, bad):
+    res = runner.invoke(main, [a.format(bad) for a in args])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("line", ["lambda=nan", "y0=inf", "alpha=-inf", "tol=nan"])
+def test_nonfinite_config_value_exit_3(runner, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    res = runner.invoke(main, ["solve", "--steps", "6", "--config", str(cfg)])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "InputFormatError"
+
+
 # -------------------------------------------------------------------- solve
 
 def test_solve_constant_problem(runner):

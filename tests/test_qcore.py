@@ -216,6 +216,19 @@ def test_gamma_q_rejects_nonpositive():
         gamma_q(-0.5, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [1027.0, 1100.0])
+def test_gamma_q_overflow_is_range_error(alpha):
+    # Gamma_q(alpha) ~ 0.29 * 2**(alpha-1) at q = 0.5 exceeds the float range;
+    # at alpha = 1100, (1-q)**(alpha-1) also underflows to 0
+    with pytest.raises(RangeError):
+        gamma_q(alpha, 0.5)
+
+
+def test_gamma_q_finite_past_denominator_underflow():
+    # (1-q)**(alpha-1) = 1e-338 underflows to 0, Gamma_q(170) ~ 3.7e276 does not
+    assert gamma_q(170.0, 0.99) == pytest.approx(float(ref_gamma_q(170.0, 0.99)), rel=1e-13)
+
+
 # ---------------------------------------------------------------- make_grid
 
 def test_make_grid_examples():

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qfrac.errors import DivergenceError, NonConvergenceError, PreconditionError, StepError
+from qfrac.errors import (
+    DivergenceError,
+    DomainError,
+    NonConvergenceError,
+    PreconditionError,
+    StepError,
+)
 from qfrac.operators import build_kernel, caputo_derivative, fractional_integral
 from qfrac.qcore import FracOrder, GridFn, Tolerance, gamma_q, make_grid, q_factorial_power
 from qfrac.solver import (
@@ -27,6 +33,23 @@ def linear_ivp(alpha=0.5, lam=0.4, y0=1.0, forcing=None, grid=GRID):
     if forcing is None:
         forcing = GridFn.constant(grid, 0.0)
     return LinearIVP(alpha=FracOrder(alpha), lam=lam, a_index=0, y0=y0, forcing=forcing)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lam", "y0"])
+def test_linear_ivp_rejects_nonfinite(field, bad):
+    with pytest.raises(DomainError):
+        linear_ivp(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["y0", "lipschitz"])
+def test_nonlinear_ivp_rejects_nonfinite(field, bad):
+    args = dict(grid=GRID, alpha=FracOrder(0.5), a_index=0, y0=1.0,
+                rhs=lambda t, y: 0.5 * y, lipschitz=0.5)
+    args[field] = bad
+    with pytest.raises(DomainError):
+        NonlinearIVP(**args)
 
 
 # ------------------------------------------------------------- closed form

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, PoleError
+from qfrac.errors import DivergenceError, DomainError, PoleError, RangeError
 from qfrac.qcore import gamma_q, make_grid
 from qfrac.special import (
     MLSpec,
@@ -92,6 +92,20 @@ def test_ml_spec_validation():
         MLSpec(0.5, 1.0, 0.1, t0=-1.0)
     with pytest.raises(DomainError):
         mittag_leffler(MLSpec(0.5, 1.0, 0.1, t0=0.5), 0.25, Q)  # t < t0
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_ml_spec_rejects_nonfinite_lambda(lam):
+    with pytest.raises(DomainError):
+        MLSpec(0.5, 1.0, lam)
+
+
+@pytest.mark.parametrize("lam", [1.4, 1.413])
+def test_ml_series_stops_where_gamma_q_overflows(lam):
+    # the series needs more than 2052 terms here, and Gamma_q(0.5 k + 1)
+    # leaves the float range before that: no term may silently become 0
+    with pytest.raises(RangeError):
+        mittag_leffler(MLSpec(0.5, 1.0, lam), 1.0, Q)
 
 
 # --------------------------------------------------- mittag_leffler_modified
