@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 generic error, 2 hypothesis/precondition violation,
 CSV output uses UTF-8, comma separators, ``\\n`` line endings, a header row,
 and 17-significant-digit floats so files are diffable and round-trip safe.
 Identical flags and seed produce byte-identical output.
+
+Each command imports what it needs when it runs: ``eval`` uses only the
+scalar modules and never loads numpy; ``solve``, ``bound``, ``verify`` and
+``demo`` import the grid solvers, and numpy with them.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from .errors import (
     DivergenceError,
@@ -30,7 +33,6 @@ from .errors import (
     PreconditionError,
     QFracError,
 )
-from .gronwall import GronwallInput, dependence_experiment, gronwall_bound
 from .qcore import (
     FracOrder,
     GridFn,
@@ -41,22 +43,12 @@ from .qcore import (
     product_truncation_index,
     q_factorial_power,
 )
-from .solver import (
-    LinearIVP,
-    NonlinearIVP,
-    linear_defect,
-    nonlinear_defect,
-    solve_linear_closed,
-    solve_linear_iterative,
-    solve_marching,
-)
 from .special import (
     MLSpec,
     _q_exp_big_with_terms,
     _q_exp_small_with_terms,
     mittag_leffler,
 )
-from .verify import available_suites, run_suite
 
 
 def _fmt(x: float) -> str:
@@ -277,6 +269,18 @@ def _forcing_fn(name: str):
 @_cli_errors
 def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol, fmt, config_path):
     """Solve an initial value problem; one CSV row per grid point."""
+    import numpy as np
+
+    from .solver import (
+        LinearIVP,
+        NonlinearIVP,
+        linear_defect,
+        nonlinear_defect,
+        solve_linear_closed,
+        solve_linear_iterative,
+        solve_marching,
+    )
+
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, n_start=n_start, steps=steps, rel_tol=tol, fmt=fmt)
     problem = _resolve(problem, cfg, "problem", str, "linear")
@@ -403,6 +407,8 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
     directly with --mu supplying the constant coefficient.  Every cell must
     be finite.  The trailer's terms_used counts the grid rows solved.
     """
+    from .gronwall import GronwallInput, gronwall_bound
+
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, rel_tol=tol, fmt=fmt)
     mu = _resolve(mu, cfg, "mu", float, None)
@@ -422,9 +428,9 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
             )
         v_name = candidates[0]
     grid = _grid_from_t_column(cols["t"], rc.q)
-    v = GridFn(grid, np.array(cols[v_name]))
+    v = GridFn(grid, cols[v_name])
     if "mu" in header:
-        mu_fn = GridFn(grid, np.array(cols["mu"]))
+        mu_fn = GridFn(grid, cols["mu"])
     elif mu is not None:
         mu_fn = GridFn.constant(grid, mu)
     else:
@@ -478,6 +484,8 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
 @_cli_errors
 def cmd_verify(suite, seed, cases, config_path):
     """Run a verification suite and print its JSON report; exit 0 iff clean."""
+    from .verify import available_suites, run_suite
+
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, seed=seed)
     cases = _resolve(cases, cfg, "cases", int, None)
@@ -506,6 +514,8 @@ def cmd_verify(suite, seed, cases, config_path):
 @_cli_errors
 def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, config_path):
     """Continuous dependence on initial values: solve twice, print the bound."""
+    from .gronwall import dependence_experiment
+
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, n_start=n_start, steps=steps, rel_tol=tol, fmt=fmt)
     lipschitz = _resolve(lipschitz, cfg, "l", float, 0.5)

@@ -11,6 +11,10 @@ function derived from it.  Infinite products are truncated after
 ``ceil(ln(eps)/ln(q))`` factors, where every omitted factor differs from 1 by
 less than machine epsilon, and are accumulated through ``log1p``/``fsum`` so
 the identities tested at 1e-10 survive bases close to 1.
+
+numpy is imported only where arrays are needed (:attr:`QGrid.t`,
+:class:`GridFn`, and the long-product pass of :func:`_q_product` once numpy
+is loaded anyway), so scalar evaluations run without it.
 """
 from __future__ import annotations
 
@@ -18,10 +22,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GridMismatchError, NonConvergenceError, PoleError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MACHINE_EPS = 2.0 ** -52
 
@@ -81,6 +87,8 @@ class QGrid:
 
     @cached_property
     def t(self) -> np.ndarray:
+        import numpy as np
+
         arr = np.array(self.points, dtype=float)
         arr.setflags(write=False)
         return arr
@@ -117,6 +125,8 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.count,):
             raise GridMismatchError(
@@ -129,11 +139,11 @@ class GridFn:
 
     @classmethod
     def from_callable(cls, grid: QGrid, fn) -> "GridFn":
-        return cls(grid, np.array([fn(t) for t in grid.points], dtype=float))
+        return cls(grid, [fn(t) for t in grid.points])
 
     @classmethod
     def constant(cls, grid: QGrid, value: float) -> "GridFn":
-        return cls(grid, np.full(grid.count, float(value)))
+        return cls(grid, [float(value)] * grid.count)
 
 
 @dataclass(frozen=True)
@@ -218,11 +228,14 @@ def _q_product(
     the same delta expression, and libm log1p on each factor (np.log1p can
     differ in the last bit).  It returns only in the common case, every factor
     positive and finite and the product not cut short by max_terms; anything
-    else runs the loop.
+    else runs the loop.  The pass runs only when numpy is already imported:
+    loading it (~100 ms) costs far more than the pass saves (~50 us), and
+    both give the same floats.
     """
     full = _full_truncation_index(q)
     count = max(1, min(int(max_terms), full)) + extra
-    if count >= NUMPY_PRODUCT_MIN_FACTORS:
+    np = sys.modules.get("numpy")
+    if np is not None and count >= NUMPY_PRODUCT_MIN_FACTORS:
         seq = np.full(count, q)
         seq[0] = x0
         with np.errstate(all="ignore"):

@@ -207,16 +207,26 @@ def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, in
     # the series needs O(1/(1-|t|)) terms, so the agreement check stops at
     # |t| = 0.9; past that only the product representation stands
     if abs(t) <= 0.9:
-        series = _q_exp_big_series(t, q, tol)
-        if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(product)):
-            raise QFracError(
-                f"E_q product/series disagreement at t={t!r}: {product!r} vs {series!r}"
-            )
+        _check_q_exp_big_series(t, q, tol, product)
     return product, used
 
 
-def _q_exp_big_series(t: float, q: float, tol: Tolerance) -> float:
-    """sum_n t**n / (q)_n for |t| < 1; tail-aware stopping."""
+def _check_q_exp_big_series(t: float, q: float, tol: Tolerance, product: float) -> None:
+    """Raise QFracError unless the power series agrees with the product.
+
+    The tolerance scales with the sum of |terms|, the series' own rounding
+    bound: for t < 0 the terms alternate and cancel, so the series can lose
+    every digit of a small E_q(t) that the product still gets right.
+    """
+    series, abs_sum = _q_exp_big_series(t, q, tol)
+    if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * abs_sum):
+        raise QFracError(
+            f"E_q product/series disagreement at t={t!r}: {product!r} vs {series!r}"
+        )
+
+
+def _q_exp_big_series(t: float, q: float, tol: Tolerance) -> tuple[float, float]:
+    """(sum, sum of |terms|) of sum_n t**n / (q)_n for |t| < 1; tail-aware stopping."""
     terms = [1.0]
     tn = 1.0
     qn = 1.0
@@ -231,7 +241,7 @@ def _q_exp_big_series(t: float, q: float, tol: Tolerance) -> float:
         terms.append(term)
         running += term
         if abs(term) <= (tol.abs_tol + tol.rel_tol * abs(running)) * tail_scale:
-            return math.fsum(terms)
+            return math.fsum(terms), math.fsum(map(abs, terms))
     raise NonConvergenceError(
         f"E_q series did not meet tolerance within {tol.max_terms} terms",
         last_delta=terms[-1],

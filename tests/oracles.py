@@ -12,8 +12,8 @@ import math
 import numpy as np
 from mpmath import mp, mpf, power
 
-from qfrac.errors import DomainError, PoleError, QFracError
-from qfrac.special import _q_exp_big_series
+from qfrac.errors import DomainError, PoleError
+from qfrac.special import _check_q_exp_big_series
 
 mp.dps = 50
 
@@ -234,7 +234,5 @@ def loop_q_exp_big(t, q, tol):
         qn_t *= q
     product = sign * math.exp(-math.fsum(logs))
     if abs(t) <= 0.9:
-        series = _q_exp_big_series(t, q, tol)
-        if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(product)):
-            raise QFracError(f"E_q product/series disagreement at t={t!r}")
+        _check_q_exp_big_series(t, q, tol, product)
     return product, len(logs)

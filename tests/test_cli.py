@@ -351,3 +351,76 @@ def test_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _modules_after(*argv):
+    """Top-level modules a fresh interpreter imported running ``python argv``,
+    read from ``-X importtime``, which names every module on stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+def test_import_leaves_numpy_out():
+    # numpy takes ~0.1-0.16 s to import; the package imports its modules lazily
+    _, modules = _modules_after("-c", "import qfrac")
+    assert "qfrac" in modules
+    assert "numpy" not in modules
+
+
+EVAL_ARGS = {
+    "gamma": ["--alpha", "0.5", "--q", "0.5"],
+    "gamma-long": ["--alpha", "0.5", "--q", "0.9"],  # a 343-factor product
+    "qfac": ["--t", "1", "--s", "0.5", "--nu", "0.5", "--q", "0.9"],
+    "ml": ["--alpha", "0.5", "--lambda", "0.4", "--t", "1", "--q", "0.9"],
+    "eq": ["--t", "0.8", "--q", "0.9"],
+    "Eq": ["--t", "0.5", "--q", "0.9"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(EVAL_ARGS))
+def test_eval_process_leaves_numpy_out(label):
+    kind = label.split("-")[0]
+    out, modules = _modules_after("-m", "qfrac", "eval", kind, *EVAL_ARGS[label])
+    assert out.startswith("input,value,terms_used\n")
+    assert "numpy" not in modules
+
+
+def test_verify_import_loads_the_traced_modules():
+    # perfbench/tracing.py imports qfrac.verify, then rebinds names in these
+    # five modules through sys.modules; verify must keep loading them all
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qfrac.verify; "
+         "print(all(f'qfrac.{m}' in sys.modules "
+         "for m in ('qcore', 'operators', 'special', 'solver', 'gronwall')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("q", ["0.8", "0.9", "0.95"])
+@pytest.mark.parametrize(
+    "args",
+    [["eval", "gamma", "--alpha", "0.7"], ["eval", "qfac", "--t", "1.3", "--s", "0.4", "--nu", "-0.6"]],
+    ids=["gamma", "qfac"],
+)
+def test_eval_process_matches_numpy_pass(runner, args, q):
+    # the process multiplies factor by factor without numpy; in this process
+    # numpy is loaded, so the same row comes from the one-pass product
+    from qfrac.qcore import NUMPY_PRODUCT_MIN_FACTORS, product_truncation_index
+
+    assert "numpy" in sys.modules
+    assert product_truncation_index(float(q)) >= NUMPY_PRODUCT_MIN_FACTORS
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfrac", *args, "--q", q], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == invoke(runner, *args, "--q", q).output

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, PoleError, RangeError
+from qfrac.errors import DivergenceError, DomainError, PoleError, QFracError, RangeError
 from qfrac.qcore import gamma_q, make_grid
 from qfrac.special import (
     MLSpec,
@@ -174,6 +174,31 @@ def test_q_exp_big_series_product_agreement():
         prod = q_exp_big(t, Q)
         series = float(ref_Eq_series(t, Q, terms=400))
         assert prod == pytest.approx(series, rel=1e-12), t
+
+
+@pytest.mark.parametrize(
+    "t, q", [(-0.7749447277059471, 0.960941213186356), (-0.4, 0.95)]
+)
+def test_q_exp_big_survives_series_cancellation(t, q):
+    # the alternating series cancels to ~1e-6 absolute here, far from the
+    # product; its terms' sum of moduli bounds that rounding, so no error
+    want = float(ref_Eq_product(t, q, factors=2000))
+    assert q_exp_big(t, q) == pytest.approx(want, rel=1e-13)
+
+
+def test_q_exp_big_wrong_product_still_raises(monkeypatch):
+    import qfrac.special as special
+
+    true_product = special._q_product
+
+    def off_by_1e9(*args):
+        sign, log_abs, used = true_product(*args)
+        return sign, log_abs + 1e-9, used
+
+    monkeypatch.setattr(special, "_q_product", off_by_1e9)
+    for t in (-0.4, 0.5):
+        with pytest.raises(QFracError, match="disagreement"):
+            q_exp_big(t, Q)
 
 
 def test_q_exp_big_poles():
