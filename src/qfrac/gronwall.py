@@ -91,17 +91,22 @@ def _comparison_factor(kernel: OperatorKernel, mu: np.ndarray) -> np.ndarray:
     """sum_k (Omega_mu^k 1) as the solution u of (I - W diag mu) u = 1.
 
     Needs 1 - W[i,i] mu[i] > 0 above the lower limit (the strict ceiling).
-    Raises DivergenceError as soon as a value exceeds DIVERGENCE_LIMIT.
+    Raises DivergenceError as soon as a value exceeds DIVERGENCE_LIMIT; a
+    diagonal factor that rounds to exactly 0 makes u_i infinite.
     """
+    m = mu.tolist()
 
     def row(i: int, known: float, d: float) -> tuple[float, float]:
-        u_i = known / (1.0 - d * mu[i])
+        try:
+            u_i = known / (1.0 - d * m[i])
+        except ZeroDivisionError:
+            u_i = known * math.inf  # the IEEE quotient by +0.0
         if not u_i <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"comparison series reaches {u_i:.6g} at grid index {i}, "
                 f"beyond {DIVERGENCE_LIMIT:g}"
             )
-        return u_i, mu[i] * u_i
+        return u_i, m[i] * u_i
 
     return forward_substitution(kernel, 1.0, row)
 
@@ -241,9 +246,9 @@ def march_integral_equation(
     if coeff.grid != kernel.grid:
         raise DomainError("coefficient and kernel live on different grids")
     grid = kernel.grid
-    s = np.zeros(grid.count) if slack is None else slack.values
-    c = coeff.values
-    denom = 1.0 - kernel.diagonal * c
+    s = [0.0] * grid.count if slack is None else slack.values.tolist()
+    c = coeff.values.tolist()
+    denom = (1.0 - kernel.diagonal * coeff.values).tolist()
     bad = [i for i in range(kernel.a_index + 1, grid.count) if denom[i] <= 0.0]
     if bad:
         raise PreconditionError(

@@ -207,6 +207,9 @@ def product_truncation_index(q: float, max_terms: int = DEFAULT_TOL.max_terms) -
 #: products stop earlier.
 NUMPY_PRODUCT_MIN_FACTORS = 128
 
+#: a q-product stops after its first factor within this distance of 1.
+_PRODUCT_CUT = MACHINE_EPS / 8.0
+
 
 def _q_product(
     x0: float, q: float, num: float, den: float, max_terms: int, extra: int = 0
@@ -241,7 +244,7 @@ def _q_product(
         with np.errstate(all="ignore"):
             x = np.multiply.accumulate(seq)
             delta = x * num / (1.0 - x * den)
-            done = np.flatnonzero(np.abs(delta) < MACHINE_EPS / 8.0)
+            done = np.flatnonzero(np.abs(delta) < _PRODUCT_CUT)
             used = int(done[0]) + 1 if done.size else count
             delta = delta[:used]
             factor = 1.0 + delta
@@ -249,22 +252,26 @@ def _q_product(
             return 1.0, math.fsum(map(math.log1p, delta.tolist())), used
     sign = 1.0
     logs: list[float] = []
+    append, log1p, cut = logs.append, math.log1p, _PRODUCT_CUT
     x = x0
     for i in range(count):
         d = 1.0 - x * den
         if d == 0.0:
             raise PoleError(f"q-product denominator vanishes at factor {i}")
         delta = x * num / d
-        factor = 1.0 + delta
-        if factor == 0.0:
-            return 0.0, 0.0, i + 1
-        if factor < 0.0:
-            sign = -sign
-            logs.append(math.log(-factor))
-        else:
-            logs.append(math.log1p(delta))
-        if abs(delta) < MACHINE_EPS / 8.0:
-            break
+        if delta > -1.0:  # factor 1 + delta > 0, the usual case
+            append(log1p(delta))
+            if -cut < delta < cut:
+                break
+        else:  # factor <= 0, or NaN
+            factor = 1.0 + delta
+            if factor == 0.0:
+                return 0.0, 0.0, i + 1
+            if factor < 0.0:
+                sign = -sign
+                append(math.log(-factor))
+            else:
+                append(log1p(delta))
         x *= q
     else:
         if max_terms < full:

@@ -49,6 +49,8 @@ class LinearIVP:
         if not 0 <= self.a_index < self.forcing.grid.count:
             raise DomainError(f"a_index {self.a_index} outside grid")
         _check_finite(lam=self.lam, y0=self.y0)
+        if not np.isfinite(self.forcing.values).all():
+            raise DomainError("forcing values must be finite")
 
     @property
     def grid(self) -> QGrid:
@@ -101,7 +103,7 @@ def nonlinear_defect(p: NonlinearIVP, y: GridFn, tol: Tolerance = DEFAULT_TOL,
     """Per-point absolute defect of y = y0 + I^alpha rhs(t, y)."""
     if kernel is None:
         kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
-    fvals = np.array([p.rhs(t, v) for t, v in zip(p.grid.points, y.values)])
+    fvals = np.array([p.rhs(t, v) for t, v in zip(p.grid.points, y.values.tolist())])
     integ = fractional_integral(GridFn(p.grid, fvals), kernel).values
     d = y.values - (p.y0 + integ)
     d[: p.a_index] = 0.0
@@ -196,28 +198,6 @@ def solve_linear_iterative(
     )
 
 
-def _scalar_fixed_point(
-    g: Callable[[float], float], y_start: float, tol: Tolerance, max_inner: int
-) -> tuple[float, int]:
-    """Damped fixed-point solve of y = g(y); halves the step on stall."""
-    y = float(y_start)
-    theta = 1.0
-    prev = math.inf
-    for it in range(1, max_inner + 1):
-        gy = g(y)
-        delta = gy - y
-        if abs(delta) <= tol.abs_tol + tol.rel_tol * max(1.0, abs(gy)):
-            return gy, it
-        if abs(delta) >= prev:
-            theta = max(0.5 * theta, 2.0 ** -6)
-        y += theta * delta
-        prev = abs(delta)
-    raise NonConvergenceError(
-        f"inner fixed-point iteration missed tolerance after {max_inner} steps",
-        last_delta=prev,
-    )
-
-
 def forward_substitution(
     kernel: OperatorKernel,
     base: float,
@@ -231,26 +211,39 @@ def forward_substitution(
     part.  The hook decides how the implicit diagonal term is solved (a
     division for linear equations, a scalar fixed point otherwise) and may
     raise to stop the march.
+
+    ``known`` and ``W[i, i]`` reach the hook as Python floats, so a hook that
+    stays on Python floats pays no numpy-scalar overhead; only the history
+    dot product runs in numpy.
     """
     a_index = kernel.a_index
     w = kernel.weights
-    diag = kernel.diagonal
-    y = np.empty(kernel.grid.count)
-    y[: a_index + 1] = base
+    diag = kernel.diagonal.tolist()
+    base = float(base)
+    y = [base] * (a_index + 1)
     g = np.zeros(kernel.grid.count)
     for i in range(a_index + 1, kernel.grid.count):
         known = base + float(w[i, :i] @ g[:i])
-        y[i], g[i] = row(i, known, diag[i])
-    return y
+        y_i, g[i] = row(i, known, diag[i])
+        y.append(y_i)
+    return np.array(y, dtype=float)
 
 
 def solve_marching(
     p: NonlinearIVP, tol: Tolerance = DEFAULT_TOL, max_inner: int = 100
 ) -> SolveReport:
     """March the grid in increasing t, solving one scalar fixed-point equation
-    per point; the implicit part carries only the diagonal kernel weight."""
+    per point; the implicit part carries only the diagonal kernel weight.
+
+    At each point y = known + W[i, i] rhs(t_i, y) is iterated from the
+    previous point's value with a damped update: the step factor halves
+    (down to 2**-6) whenever |delta| fails to shrink.  ``rhs`` is called
+    with Python floats (as long as it returns them), so an ``rhs`` written
+    with Python arithmetic raises OverflowError or ZeroDivisionError where
+    numpy scalars would have given inf; the error propagates.
+    """
     kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
-    diag = kernel.diagonal
+    diag = kernel.diagonal.tolist()
     bad = [
         i
         for i in range(p.a_index + 1, p.grid.count)
@@ -262,24 +255,38 @@ def solve_marching(
             f"indices {bad}",
             indices=tuple(bad),
         )
+    rhs = p.rhs
+    points = p.grid.points
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
+    theta_floor = 2.0 ** -6
     y_prev = p.y0
     inner_total = 0
 
     def step(i: int, known: float, d: float) -> tuple[float, float]:
         nonlocal y_prev, inner_total
-        ti = p.grid.points[i]
-        try:
-            yi, used = _scalar_fixed_point(
-                lambda v: known + d * p.rhs(ti, v), y_prev, tol, max_inner
-            )
-        except NonConvergenceError as exc:
-            raise StepError(
-                f"marching stalled at grid index {i} (t={ti!r})", index=i,
-                last_delta=exc.last_delta,
-            ) from exc
-        y_prev = yi
-        inner_total += used
-        return yi, p.rhs(ti, yi)
+        ti = points[i]
+        y = float(y_prev)
+        theta = 1.0
+        prev = math.inf
+        for it in range(1, max_inner + 1):
+            gy = known + d * rhs(ti, y)
+            delta = gy - y
+            size = abs(delta)
+            scale = abs(gy)
+            if size <= abs_tol + rel_tol * (scale if scale > 1.0 else 1.0):
+                y_prev = gy
+                inner_total += it
+                return gy, rhs(ti, gy)
+            if size >= prev:
+                theta = max(0.5 * theta, theta_floor)
+            y += theta * delta
+            prev = size
+        raise StepError(
+            f"marching stalled at grid index {i} (t={ti!r})", index=i, last_delta=prev
+        ) from NonConvergenceError(
+            f"inner fixed-point iteration missed tolerance after {max_inner} steps",
+            last_delta=prev,
+        )
 
     sol = GridFn(p.grid, forward_substitution(kernel, p.y0, step))
     residual = float(np.max(nonlinear_defect(p, sol, tol, kernel)))

@@ -13,6 +13,7 @@ independent of execution order.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -66,6 +67,8 @@ def _record(errors: dict[str, float], key: str, err: float) -> float:
 def suite_lemma1(seed: int, cases: int | None = None):
     """Factorial-power identities: exponent addition, scaling, and the two
     one-sided derivative rules, each at 1e-10 relative error."""
+    # each distinct power is evaluated once per call; the cache dies with it
+    qfp = lru_cache(maxsize=None)(q_factorial_power)
     pair_count = cases or 20
     exps = (0.25, 0.5, 1.3)
     failures: list[str] = []
@@ -81,10 +84,8 @@ def suite_lemma1(seed: int, cases: int | None = None):
             t, s = pts[i], pts[j]
             n_cases += 1
             for beta, gam in product(exps, exps):
-                lhs = q_factorial_power(t, s, beta + gam, q)
-                rhs = q_factorial_power(t, s, beta, q) * q_factorial_power(
-                    t, q ** beta * s, gam, q
-                )
+                lhs = qfp(t, s, beta + gam, q)
+                rhs = qfp(t, s, beta, q) * qfp(t, q ** beta * s, gam, q)
                 err = _record(errors, "I", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(
@@ -92,8 +93,8 @@ def suite_lemma1(seed: int, cases: int | None = None):
                     )
             for a_scale in (q, 1.0 / q, 2.0):
                 for beta in exps:
-                    lhs = q_factorial_power(a_scale * t, a_scale * s, beta, q)
-                    rhs = a_scale ** beta * q_factorial_power(t, s, beta, q)
+                    lhs = qfp(a_scale * t, a_scale * s, beta, q)
+                    rhs = a_scale ** beta * qfp(t, s, beta, q)
                     err = _record(errors, "II", _rel_err(lhs, rhs))
                     if err > 1e-10:
                         failures.append(
@@ -101,18 +102,14 @@ def suite_lemma1(seed: int, cases: int | None = None):
                         )
             for al in exps:
                 # derivative in t: needs s below the predecessor point
-                lhs = (
-                    q_factorial_power(t, s, al, q) - q_factorial_power(q * t, s, al, q)
-                ) / ((1.0 - q) * t)
-                rhs = q_bracket(al, q) * q_factorial_power(t, s, al - 1.0, q)
+                lhs = (qfp(t, s, al, q) - qfp(q * t, s, al, q)) / ((1.0 - q) * t)
+                rhs = q_bracket(al, q) * qfp(t, s, al - 1.0, q)
                 err = _record(errors, "III", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(f"lemma1/III q={q} alpha={al}: {err:.3e}")
                 # derivative in s
-                lhs = (
-                    q_factorial_power(t, s, al, q) - q_factorial_power(t, q * s, al, q)
-                ) / ((1.0 - q) * s)
-                rhs = -q_bracket(al, q) * q_factorial_power(t, q * s, al - 1.0, q)
+                lhs = (qfp(t, s, al, q) - qfp(t, q * s, al, q)) / ((1.0 - q) * s)
+                rhs = -q_bracket(al, q) * qfp(t, q * s, al - 1.0, q)
                 err = _record(errors, "IV", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(f"lemma1/IV q={q} alpha={al}: {err:.3e}")
@@ -147,6 +144,7 @@ def suite_gamma(seed: int, cases: int | None = None):
 
 def suite_powerrule(seed: int, cases: int | None = None):
     """Fractional integral of (x - a)_q^mu against its closed form, 1e-8."""
+    qfp = lru_cache(maxsize=None)(q_factorial_power)  # per call, as in lemma1
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
@@ -158,12 +156,12 @@ def suite_powerrule(seed: int, cases: int | None = None):
             kernel = build_kernel(grid, 0, FracOrder(al))
             fvals = np.zeros(grid.count)
             for i in range(grid.count):
-                fvals[i] = q_factorial_power(grid.points[i], a, mu, q)
+                fvals[i] = qfp(grid.points[i], a, mu, q)
             got = fractional_integral(GridFn(grid, fvals), kernel).values
             coeff = gamma_q(mu + 1.0, q) / gamma_q(al + mu + 1.0, q)
             worst = 0.0
             for i in range(1, grid.count):
-                want = coeff * q_factorial_power(grid.points[i], a, mu + al, q)
+                want = coeff * qfp(grid.points[i], a, mu + al, q)
                 worst = max(worst, _rel_err(got[i], want))
             _record(errors, "powerrule", worst)
             if worst > 1e-8:
@@ -244,10 +242,11 @@ def suite_ratio(seed: int, cases: int | None = None):
 def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> GridFn:
     """March v = v_a + I^alpha(mu v) - slack with slack clamped so v stays
     nonnegative (slack_i <= accumulated history), preserving the inequality."""
-    c = mu.values
+    c = mu.values.tolist()
+    slack = raw_slack.tolist()
 
     def row(i: int, known: float, d: float) -> tuple[float, float]:
-        y_i = (known - min(raw_slack[i], known)) / (1.0 - d * c[i])
+        y_i = (known - min(slack[i], known)) / (1.0 - d * c[i])
         return y_i, c[i] * y_i
 
     return GridFn(kernel.grid, forward_substitution(kernel, v_a, row))

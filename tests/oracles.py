@@ -5,14 +5,16 @@ and series formulas, straight loops, no kernel matrices, no incremental
 updates.  Tests freeze values produced here or call them directly for
 randomized cross-checks.  The ``loop_*`` functions at the end are the
 double-precision scalar loops that the package's q-product routine must
-reproduce bit for bit.
+reproduce bit for bit, and the ``numpy_*`` functions are the row engine of
+forward substitution on numpy scalars, which the package's Python-float rows
+must reproduce bit for bit.
 """
 import math
 
 import numpy as np
 from mpmath import mp, mpf, power
 
-from qfrac.errors import DomainError, PoleError
+from qfrac.errors import DomainError, NonConvergenceError, PoleError, PreconditionError, StepError
 from qfrac.special import _check_q_exp_big_series
 
 mp.dps = 50
@@ -236,3 +238,101 @@ def loop_q_exp_big(t, q, tol):
     if abs(t) <= 0.9:
         _check_q_exp_big_series(t, q, tol, product)
     return product, len(logs)
+
+
+# ------------------------------------------- row engine on numpy scalars
+
+
+def numpy_forward_substitution(kernel, base, row):
+    """y = base + W g row by row, with y and g in numpy arrays and the
+    diagonal handed to the hook as a numpy scalar."""
+    a_index = kernel.a_index
+    w = kernel.weights
+    diag = kernel.diagonal
+    y = np.empty(kernel.grid.count)
+    y[: a_index + 1] = base
+    g = np.zeros(kernel.grid.count)
+    for i in range(a_index + 1, kernel.grid.count):
+        known = base + float(w[i, :i] @ g[:i])
+        y[i], g[i] = row(i, known, diag[i])
+    return y
+
+
+def numpy_scalar_fixed_point(g, y_start, tol, max_inner):
+    """Damped fixed-point solve of y = g(y); halves the step on stall."""
+    y = float(y_start)
+    theta = 1.0
+    prev = math.inf
+    for it in range(1, max_inner + 1):
+        gy = g(y)
+        delta = gy - y
+        if abs(delta) <= tol.abs_tol + tol.rel_tol * max(1.0, abs(gy)):
+            return gy, it
+        if abs(delta) >= prev:
+            theta = max(0.5 * theta, 2.0 ** -6)
+        y += theta * delta
+        prev = abs(delta)
+    raise NonConvergenceError(
+        f"inner fixed-point iteration missed tolerance after {max_inner} steps",
+        last_delta=prev,
+    )
+
+
+def numpy_solve_marching(p, tol, max_inner=100):
+    """(solution values, inner iterations, residual) of the marching solver,
+    one nested fixed-point call per grid point, with the rhs seeing numpy
+    scalars; the kernel is the package's."""
+    from qfrac.operators import build_kernel, fractional_integral
+    from qfrac.qcore import GridFn
+
+    kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
+    diag = kernel.diagonal
+    bad = [i for i in range(p.a_index + 1, p.grid.count) if p.lipschitz * diag[i] >= 1.0]
+    if bad:
+        raise PreconditionError("diagonal step not solvable", indices=tuple(bad))
+    y_prev = p.y0
+    inner_total = 0
+
+    def step(i, known, d):
+        nonlocal y_prev, inner_total
+        ti = p.grid.points[i]
+        try:
+            yi, used = numpy_scalar_fixed_point(
+                lambda v: known + d * p.rhs(ti, v), y_prev, tol, max_inner
+            )
+        except NonConvergenceError as exc:
+            raise StepError(
+                f"marching stalled at grid index {i} (t={ti!r})", index=i,
+                last_delta=exc.last_delta,
+            ) from exc
+        y_prev = yi
+        inner_total += used
+        return yi, p.rhs(ti, yi)
+
+    values = numpy_forward_substitution(kernel, p.y0, step)
+    fvals = np.array([p.rhs(t, v) for t, v in zip(p.grid.points, values)])
+    defect = values - (p.y0 + fractional_integral(GridFn(p.grid, fvals), kernel).values)
+    defect[: p.a_index] = 0.0
+    return values, inner_total, float(np.max(np.abs(defect)))
+
+
+def numpy_comparison_factor(kernel, mu):
+    """u with (I - W diag mu) u = 1 on numpy scalars (no divergence check)."""
+
+    def row(i, known, d):
+        u_i = known / (1.0 - d * mu[i])
+        return u_i, mu[i] * u_i
+
+    with np.errstate(divide="ignore"):
+        return numpy_forward_substitution(kernel, 1.0, row)
+
+
+def numpy_march_integral_equation(kernel, coeff, y_a, slack):
+    """y = y_a + I^alpha(coeff y) - slack on numpy scalars."""
+    denom = 1.0 - kernel.diagonal * coeff
+
+    def row(i, known, d):
+        y_i = (known - slack[i]) / denom[i]
+        return y_i, coeff[i] * y_i
+
+    return numpy_forward_substitution(kernel, y_a, row)

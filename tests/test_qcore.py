@@ -93,6 +93,12 @@ def test_qfp_equal_arguments():
         q_factorial_power(1.0, 1.0, -0.5, 0.5)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9])  # 52 and 343 factors
+def test_qfp_nan_argument_propagates(q):
+    # NaN factors are kept in the product, not dropped as if they were 1
+    assert np.isnan(q_factorial_power(1.0, np.nan, 0.5, q))
+
+
 def test_qfp_domain_errors():
     with pytest.raises(DomainError):
         q_factorial_power(1.0, 2.0, 0.5, 0.5)  # s/t > 1, non-integer exponent

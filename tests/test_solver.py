@@ -42,6 +42,17 @@ def test_linear_ivp_rejects_nonfinite(field, bad):
         linear_ivp(**{field: bad})
 
 
+@pytest.mark.parametrize("solve", [solve_linear_closed, solve_linear_iterative])
+@pytest.mark.parametrize("at", [0, 5, GRID.count - 1])
+def test_linear_ivp_rejects_nan_forcing(solve, at):
+    # a NaN forcing value used to give a NaN solution with residual NaN
+    # (closed form) or 200 iterations and a NonConvergenceError (iterative)
+    vals = np.array(GRID.t)
+    vals[at] = math.nan
+    with pytest.raises(DomainError, match="forcing"):
+        solve(linear_ivp(forcing=GridFn(GRID, vals)))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["y0", "lipschitz"])
 def test_nonlinear_ivp_rejects_nonfinite(field, bad):
