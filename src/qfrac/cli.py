@@ -394,8 +394,7 @@ def _grid_from_t_column(ts: list[float], q: float) -> QGrid:
               help="Constant coefficient when the table has no mu column.")
 @click.option("--tol", type=float, default=None)
 @click.option("--max-terms", type=int, default=None,
-              help="Accepted for compatibility; the bound is an exact triangular "
-                   "solve and does not depend on it.")
+              help="Deprecated and ignored; the bound is an exact triangular solve.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_cli_errors
@@ -412,7 +411,9 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, rel_tol=tol, fmt=fmt)
     mu = _resolve(mu, cfg, "mu", float, None)
-    max_terms = _resolve(max_terms, cfg, "max_terms", int, 2048)
+    if _resolve(max_terms, cfg, "max_terms", int, None) is not None:
+        click.echo("qfrac bound: --max-terms (config key max_terms) is deprecated "
+                   "and ignored", err=True)
 
     header, rows = _read_csv_table(input_csv)
     if "t" not in header:
@@ -440,7 +441,6 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
         result = gronwall_bound(
             GronwallInput(v=v, mu=mu_fn, alpha=FracOrder(rc.alpha), a_index=0),
             rc.tolerance,
-            max_terms,
         )
     except PreconditionError as exc:
         ts = [grid.points[i] for i in exc.indices]

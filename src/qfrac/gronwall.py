@@ -87,28 +87,33 @@ class BoundResult:
     max_violation: float
 
 
-def _comparison_factor(kernel: OperatorKernel, mu: np.ndarray) -> np.ndarray:
-    """sum_k (Omega_mu^k 1) as the solution u of (I - W diag mu) u = 1.
+def _linear_rows(
+    kernel: OperatorKernel, coeff: np.ndarray, y_a: float, slack: np.ndarray | None = None
+) -> np.ndarray:
+    """Solve y = y_a + W diag(coeff) y - slack above the lower limit, row by row.
 
-    Needs 1 - W[i,i] mu[i] > 0 above the lower limit (the strict ceiling).
-    Raises DivergenceError as soon as a value exceeds DIVERGENCE_LIMIT; a
-    diagonal factor that rounds to exactly 0 makes u_i infinite.
+    Each row divides by the diagonal factor 1 - W[i,i] coeff[i].  The strict
+    admissibility ceiling keeps it positive in exact arithmetic, but with the
+    computed diagonal it can round to 0 or below for a coefficient within
+    ulps of the ceiling; then PreconditionError names every index whose
+    factor is not positive.  Below the lower limit y is filled with y_a.
     """
-    m = mu.tolist()
+    c = coeff.tolist()
+    s = [0.0] * len(c) if slack is None else slack.tolist()
 
     def row(i: int, known: float, d: float) -> tuple[float, float]:
-        try:
-            u_i = known / (1.0 - d * m[i])
-        except ZeroDivisionError:
-            u_i = known * math.inf  # the IEEE quotient by +0.0
-        if not u_i <= DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"comparison series reaches {u_i:.6g} at grid index {i}, "
-                f"beyond {DIVERGENCE_LIMIT:g}"
+        den = 1.0 - d * c[i]
+        if den <= 0.0:
+            diag = kernel.diagonal.tolist()
+            bad = [j for j in range(i, len(c)) if 1.0 - diag[j] * c[j] <= 0.0]
+            raise PreconditionError(
+                f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
+                indices=tuple(bad),
             )
-        return u_i, m[i] * u_i
+        y_i = (known - s[i]) / den
+        return y_i, c[i] * y_i
 
-    return forward_substitution(kernel, 1.0, row)
+    return forward_substitution(kernel, y_a, row)
 
 
 def gronwall_bound(
@@ -122,10 +127,12 @@ def gronwall_bound(
     and equals the solution u of (I - W diag mu) u = 1.  The bound is
     v(a) * u from one forward substitution: exact up to rounding, where any
     truncated partial sum would lie below it.  ``tol`` sets the kernel's
-    product truncation.  ``max_terms`` is accepted for compatibility and no
-    longer changes the result; ``terms_used`` counts the rows solved above
-    the lower limit.  A series value above 1e100, or a non-finite bound,
+    product truncation; ``terms_used`` counts the rows solved above the
+    lower limit.  A computed diagonal factor 1 - W[i,i] mu[i] <= 0 raises
+    PreconditionError; a series value above 1e100, or a non-finite bound,
     raises DivergenceError instead of returning a useless bound.
+    ``max_terms`` is deprecated and ignored; it is still accepted so that
+    callers passing it keep working.
     """
     flags = check_sart(inp.mu, inp.alpha, strict=True)
     if not bool(flags.all()):
@@ -137,7 +144,14 @@ def gronwall_bound(
     grid = inp.v.grid
     kernel = build_kernel(grid, inp.a_index, inp.alpha, tol)
     v_a = float(inp.v.values[inp.a_index])
-    bound_vals = v_a * _comparison_factor(kernel, inp.mu.values)
+    u = _linear_rows(kernel, inp.mu.values, 1.0)
+    if not u.max() <= DIVERGENCE_LIMIT:
+        i = int(np.argmin(u <= DIVERGENCE_LIMIT))
+        raise DivergenceError(
+            f"comparison series reaches {float(u[i]):.6g} at grid index {i}, "
+            f"beyond {DIVERGENCE_LIMIT:g}"
+        )
+    bound_vals = v_a * u
     if not np.isfinite(bound_vals).all():
         raise DivergenceError(f"bound v(a) * series overflows with v(a) = {v_a!r}")
     satisfied = np.ones(grid.count, dtype=bool)
@@ -238,29 +252,16 @@ def march_integral_equation(
     """Solve y(t) = y_a + I^alpha(coeff * y)(t) - slack(t) above the lower limit.
 
     Forward substitution on the triangular kernel; each step divides by the
-    diagonal factor 1 - W[i,i] coeff[i], which the strict admissibility
-    ceiling keeps positive.  Below the lower limit y is filled with y_a.
+    diagonal factor 1 - W[i,i] coeff[i], and a factor that is not positive
+    raises PreconditionError.  Below the lower limit y is filled with y_a.
     Nonnegative slack produces sub-solutions, nonpositive slack
     super-solutions, zero slack the equality solution.
     """
-    if coeff.grid != kernel.grid:
-        raise DomainError("coefficient and kernel live on different grids")
-    grid = kernel.grid
-    s = [0.0] * grid.count if slack is None else slack.values.tolist()
-    c = coeff.values.tolist()
-    denom = (1.0 - kernel.diagonal * coeff.values).tolist()
-    bad = [i for i in range(kernel.a_index + 1, grid.count) if denom[i] <= 0.0]
-    if bad:
-        raise PreconditionError(
-            f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
-            indices=tuple(bad),
-        )
-
-    def row(i: int, known: float, d: float) -> tuple[float, float]:
-        y_i = (known - s[i]) / denom[i]
-        return y_i, c[i] * y_i
-
-    return GridFn(grid, forward_substitution(kernel, y_a, row))
+    for name, fn in (("coefficient", coeff), ("slack", slack)):
+        if fn is not None and fn.grid != kernel.grid:
+            raise DomainError(f"{name} and kernel live on different grids")
+    slack_values = None if slack is None else slack.values
+    return GridFn(kernel.grid, _linear_rows(kernel, coeff.values, y_a, slack_values))
 
 
 def q_gronwall_classical(
@@ -268,14 +269,12 @@ def q_gronwall_classical(
     delta: GridFn,
     a_index: int,
     tol: Tolerance = DEFAULT_TOL,
-    max_terms: int = 2048,
 ) -> BoundResult:
     """Order-1 specialization: bound v(a) * sum_k (Omega_delta^k 1) under
     0 <= delta(t) < 1/(1-q).
 
     For constant delta the series bound is cross-checked against the
-    order-1 Mittag-Leffler closed form; a disagreement raises.  ``max_terms``
-    is passed on to :func:`gronwall_bound`, which ignores it.
+    order-1 Mittag-Leffler closed form; a disagreement raises.
     """
     grid = v.grid
     q = grid.q
@@ -290,7 +289,7 @@ def q_gronwall_classical(
             indices=tuple(bad),
         )
     inp = GronwallInput(v=v, mu=delta, alpha=FracOrder(1.0), a_index=a_index)
-    result = gronwall_bound(inp, tol, max_terms)
+    result = gronwall_bound(inp, tol)
     lam = float(delta.values[0])
     if np.all(delta.values == lam):
         a = grid.points[a_index]
@@ -335,7 +334,7 @@ def _ml_bound_factor(
     for i in range(a_index, grid.count):
         out[i] = mittag_leffler(MLSpec(alpha.alpha, 1.0, lam, a, tol), grid.points[i], q).value
     kernel = build_kernel(grid, a_index, alpha, tol)
-    series = _comparison_factor(kernel, np.full(grid.count, lam))
+    series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
     mismatch = np.max(np.abs(series[a_index:] - out[a_index:]))
     if mismatch > 1000.0 * (tol.abs_tol + tol.rel_tol * float(np.max(np.abs(out)))):
         raise QFracError(

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qfrac.cli import main
+from qfrac.gronwall import sart_bound
+from qfrac.qcore import FracOrder, make_grid
 
 from oracles import ref_Eq_product, ref_ml
 
@@ -212,6 +215,42 @@ def test_bound_sart_violation_exit_2(runner, tmp_path):
     path.write_text("t,v,mu\n0.5,1,9\n1,1,9\n", encoding="utf-8")
     res = runner.invoke(main, ["bound", str(path), "--q", "0.5", "--alpha", "0.5"])
     assert res.exit_code == 2
+
+
+def test_bound_computed_diagonal_not_positive_exit_2(runner, tmp_path):
+    # mu one ulp below the analytic ceiling at index 1, where the computed
+    # factor 1 - W_ii mu_i is not positive: refused, not a negative bound
+    grid = make_grid(0.9, 6, 8)
+    ceiling = sart_bound(grid, FracOrder(0.9))
+    mu = 0.5 * ceiling
+    mu[1] = np.nextafter(ceiling[1], 0.0)
+    rows = ["t,v,mu"] + [f"{t!r},1.0,{m!r}" for t, m in zip(grid.points, mu.tolist())]
+    path = tmp_path / "edge.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    res = runner.invoke(main, ["bound", str(path), "--q", "0.9", "--alpha", "0.9"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    error = json.loads(res.stderr)
+    assert error["error"] == "PreconditionError"
+    assert error["indices"] == [1]
+
+
+def test_bound_max_terms_is_deprecated_and_ignored(runner, tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text(invoke(runner, "solve", "--problem", "sin", "--lambda", "0.5",
+                           "--steps", "12", "--methods", "march").stdout, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_terms=64\n", encoding="utf-8")
+    args = ["bound", str(path), "--q", "0.5", "--alpha", "0.5", "--mu", "0.4"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    assert plain.stderr == ""
+    for extra in (["--max-terms", "64"], ["--config", str(cfg)]):
+        res = runner.invoke(main, args + extra)
+        assert res.exit_code == 0
+        assert res.stdout == plain.stdout
+        assert len(res.stderr.splitlines()) == 1
+        assert "deprecated" in res.stderr
 
 
 def test_bound_missing_mu_exit_3(runner, tmp_path):

@@ -162,7 +162,7 @@ def test_bound_finite_beyond_unit_window():
     ceiling = sart_bound(big, alpha)
     mu = GridFn(big, 0.999 * ceiling)
     v = GridFn.constant(big, 1.0)
-    res = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0), max_terms=64)
+    res = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0))
     u = res.bound.values
     assert np.isfinite(u).all()
     w = build_kernel(big, 0, alpha).weights
@@ -179,6 +179,32 @@ def test_bound_diverges_on_long_window():
     mu = GridFn(long, 0.999 * sart_bound(long, alpha))
     with pytest.raises(DivergenceError):
         gronwall_bound(GronwallInput(v=GridFn.constant(long, 1.0), mu=mu, alpha=alpha, a_index=0))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+def test_bound_at_the_ceiling_is_never_below_v_a(q):
+    # mu one ulp below the analytic ceiling at index i: the computed diagonal
+    # factor 1 - W[i,i] mu[i] may round to 0 or below, which must raise
+    # PreconditionError naming i instead of returning a negative bound
+    grid = make_grid(q, 6, 8)
+    rng = np.random.default_rng([23, int(q * 10)])
+    refused = 0
+    for al in (0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0):
+        order = FracOrder(al)
+        ceiling = sart_bound(grid, order)
+        for i in range(grid.count):
+            mu = 0.5 * ceiling
+            mu[i] = np.nextafter(ceiling[i], 0.0)
+            v = GridFn(grid, rng.uniform(0.5, 2.0, grid.count))
+            try:
+                res = gronwall_bound(GronwallInput(v=v, mu=GridFn(grid, mu), alpha=order,
+                                                   a_index=0))
+            except PreconditionError as exc:
+                assert i in exc.indices, (al, i)
+                refused += 1
+                continue
+            assert np.all(res.bound.values >= v.values[0]), (al, i)
+    assert 0 < refused < 7 * grid.count
 
 
 def test_bound_rejects_nonfinite_input():
@@ -288,6 +314,14 @@ def test_march_integral_equation_requires_solvable_diagonal():
     x = GridFn(GRID, 1.5 * sart_bound(GRID, ALPHA))
     with pytest.raises(PreconditionError):
         march_integral_equation(KERNEL, x, 1.0)
+
+
+@pytest.mark.parametrize("slack_grid", [make_grid(0.3, 11, 12), make_grid(Q, 11, 8)],
+                         ids=["other-q", "shorter"])
+def test_march_integral_equation_rejects_slack_on_another_grid(slack_grid):
+    x = GridFn.constant(GRID, 0.1)
+    with pytest.raises(DomainError, match="slack and kernel live on different grids"):
+        march_integral_equation(KERNEL, x, 1.0, GridFn.constant(slack_grid, 0.1))
 
 
 # ------------------------------------------------------------------ corollary

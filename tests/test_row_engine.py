@@ -1,11 +1,11 @@
 """The row engine of forward substitution runs on Python floats.
 
-Each row hook (marching's damped fixed point, the comparison factor, the
-linear integral equations) must reproduce, bit for bit, the numpy-scalar
-rows kept in ``oracles``: the same solutions, inner iteration counts,
-residuals and bounds, and the same StepError when a march stalls.  The
-per-call q-factorial-power cache of the verify suites must leave their
-reports unchanged.
+Each row hook (marching's damped fixed point, the linear rows of the
+comparison factor and of the integral equations) must reproduce, bit for
+bit, the numpy-scalar rows kept in ``oracles``: the same solutions, inner
+iteration counts, residuals and bounds, and the same StepError when a
+march stalls.  The per-call q-factorial-power cache of the verify suites
+must leave their reports unchanged.
 """
 import math
 
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import qfrac.verify as verify
-from qfrac.errors import DivergenceError, NonConvergenceError, StepError
+from qfrac.errors import DivergenceError, NonConvergenceError, PreconditionError, StepError
 from qfrac.gronwall import (
     GronwallInput,
-    _comparison_factor,
+    _linear_rows,
     gronwall_bound,
     march_integral_equation,
     sart_bound,
@@ -158,7 +158,7 @@ def test_linear_rows_are_bit_identical_to_numpy_rows(q, alpha, a_index):
     rng = np.random.default_rng([7, a_index])
     mu = rng.uniform(0.0, 0.98, grid.count) * sart_bound(grid, FracOrder(alpha))
     slack = rng.uniform(-0.5, 0.5, grid.count)
-    assert (_comparison_factor(kernel, mu).tobytes()
+    assert (_linear_rows(kernel, mu, 1.0).tobytes()
             == numpy_comparison_factor(kernel, mu).tobytes())
     got = march_integral_equation(kernel, GridFn(grid, mu), 1.5, GridFn(grid, slack))
     want = numpy_march_integral_equation(kernel, mu, 1.5, slack)
@@ -175,9 +175,9 @@ def test_linear_rows_are_bit_identical_to_numpy_rows(q, alpha, a_index):
     assert np.any(got == 0.0)  # the clamp was active
 
 
-def test_zero_diagonal_factor_is_an_infinite_series_value():
+def test_zero_diagonal_factor_is_a_precondition_error():
     # mu just below the strict ceiling can still round 1 - W[i,i] mu[i] to
-    # exactly 0; the numpy rows divided to inf, the float rows must agree
+    # exactly 0; the numpy rows divided to inf, the float rows refuse the row
     grid = _window(0.5, 8)
     order = FracOrder(0.75)
     kernel = build_kernel(grid, 0, order)
@@ -194,9 +194,28 @@ def test_zero_diagonal_factor_is_an_infinite_series_value():
     mu = np.full(grid.count, 0.5)
     mu[i] = m
     assert math.isinf(numpy_comparison_factor(kernel, mu)[i])
-    with pytest.raises(DivergenceError, match=f"reaches inf at grid index {i},"):
+    with pytest.raises(PreconditionError, match="not positive") as exc:
         gronwall_bound(GronwallInput(v=GridFn.constant(grid, 1.0), mu=GridFn(grid, mu),
                                      alpha=order, a_index=0))
+    assert exc.value.indices == (i,)
+
+
+def test_divergence_is_reported_at_the_first_row_past_the_limit():
+    # the limit is tested once on the solved u: the same first index and
+    # value as a test inside each row
+    grid = make_grid(0.5, 3, 44)
+    order = FracOrder(0.5)
+    mu = 0.999 * sart_bound(grid, order)
+    with np.errstate(all="ignore"):
+        u = numpy_comparison_factor(build_kernel(grid, 0, order), mu)
+    i = int(np.argmax(u > 1e100))
+    assert np.all(u[:i] <= 1e100) and np.all(u[i:] > 1e100) and i < grid.count - 1
+    with pytest.raises(DivergenceError) as exc:
+        gronwall_bound(GronwallInput(v=GridFn.constant(grid, 1.0), mu=GridFn(grid, mu),
+                                     alpha=order, a_index=0))
+    assert str(exc.value) == (
+        f"comparison series reaches {float(u[i]):.6g} at grid index {i}, beyond 1e+100"
+    )
 
 
 @pytest.mark.parametrize("name", ["lemma1", "powerrule"])
