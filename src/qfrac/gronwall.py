@@ -22,7 +22,7 @@ from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OmegaOp, OperatorKernel, build_kernel, omega_apply
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
-from .special import MLSpec, mittag_leffler
+from .special import MLSpec, _ml_series, _SeriesMemo, mittag_leffler
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
@@ -145,15 +145,18 @@ def gronwall_bound(
     kernel = build_kernel(grid, inp.a_index, inp.alpha, tol)
     v_a = float(inp.v.values[inp.a_index])
     u = _linear_rows(kernel, inp.mu.values, 1.0)
-    if not u.max() <= DIVERGENCE_LIMIT:
+    u_max = float(u.max())
+    if not u_max <= DIVERGENCE_LIMIT:
         i = int(np.argmin(u <= DIVERGENCE_LIMIT))
         raise DivergenceError(
             f"comparison series reaches {float(u[i]):.6g} at grid index {i}, "
             f"beyond {DIVERGENCE_LIMIT:g}"
         )
-    bound_vals = v_a * u
-    if not np.isfinite(bound_vals).all():
+    # u >= 1, so v(a) * u overflows exactly where |v(a)| * max(u) does; test
+    # that on floats first, so that numpy never warns about the overflow
+    if abs(v_a) * u_max == math.inf:
         raise DivergenceError(f"bound v(a) * series overflows with v(a) = {v_a!r}")
+    bound_vals = v_a * u
     satisfied = np.ones(grid.count, dtype=bool)
     satisfied[inp.a_index :] = inp.v.values[inp.a_index :] <= bound_vals[inp.a_index :]
     excess = inp.v.values[inp.a_index :] - bound_vals[inp.a_index :]
@@ -328,11 +331,12 @@ def _ml_bound_factor(
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
     comparison series sum_k (Omega_lam^k 1), which it must equal."""
-    a = grid.points[a_index]
     q = grid.q
+    spec = MLSpec(alpha.alpha, 1.0, lam, grid.points[a_index], tol)
+    memo = _SeriesMemo(q, tol)  # shared by the N series of this call only
     out = np.ones(grid.count)
     for i in range(a_index, grid.count):
-        out[i] = mittag_leffler(MLSpec(alpha.alpha, 1.0, lam, a, tol), grid.points[i], q).value
+        out[i] = _ml_series(spec, grid.points[i], q, memo=memo).value
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
     mismatch = np.max(np.abs(series[a_index:] - out[a_index:]))

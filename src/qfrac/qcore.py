@@ -294,6 +294,20 @@ def q_factorial_power(
     would need more than tol.max_terms factors raises NonConvergenceError.
     """
     _check_q(q)
+    return _q_factorial_power(t, s, nu, q, tol.max_terms, None)
+
+
+def _q_factorial_power(
+    t: float, s: float, nu: float, q: float, max_terms: int, products: dict[float, float] | None
+) -> float:
+    """:func:`q_factorial_power` for a checked q.
+
+    The infinite product depends on t and s only through r = s/t, since
+    (t - s)_q^nu = t**nu (r; q)_inf / (q**nu r; q)_inf.  ``products``, when
+    given, maps r to the signed product factor for this one nu, q and
+    max_terms: a factor found there is not evaluated again, and the result
+    ``t**nu * factor`` takes the same float operations either way.
+    """
     if not t > 0:
         raise DomainError(f"q_factorial_power needs t > 0, got {t!r}")
     if s < 0:
@@ -312,18 +326,30 @@ def q_factorial_power(
         raise DomainError(f"product branch of (t-s)_q^nu needs s/t < 1, got s/t = {r!r}")
     if r == 0.0:
         return t ** nu
+    factor = None if products is None else products.get(r)
+    if factor is None:
+        factor = _product_factor(r, nu, q, max_terms)
+        if products is not None:
+            products[r] = factor
+    if factor == 0.0:
+        return 0.0
+    return t ** nu * factor
+
+
+def _product_factor(r: float, nu: float, q: float, max_terms: int) -> float:
+    """prod_i (1 - r q**i) / (1 - r q**(i+nu)) for 0 < r < 1, with its sign."""
     # factor i is 1 + delta_i, delta_i = r q^i (q^nu - 1) / (1 - r q^(i+nu))
     log_q = math.log(q)
     try:
         sign, log_abs, _ = _q_product(
-            r, q, math.expm1(nu * log_q), math.exp(nu * log_q), tol.max_terms
+            r, q, math.expm1(nu * log_q), math.exp(nu * log_q), max_terms
         )
     except PoleError:
         # reachable only for nu < 0 with s/t = q**(-(i+nu))
         raise PoleError(f"(t-s)_q^{nu} has a pole at s/t = {r!r}") from None
     if sign == 0.0:
         return 0.0
-    return sign * t ** nu * math.exp(log_abs)
+    return sign * math.exp(log_abs)
 
 
 #: gamma_q values kept; covers the working set of one closed-form solve.
@@ -342,7 +368,7 @@ def _gamma_q_cached(
     else:
         # den lost precision to underflow: divide by its square root twice
         half = (1.0 - q) ** (0.5 * (alpha - 1.0))
-        value = num / half / half
+        value = num / half / half if half else math.inf
     if not math.isfinite(value):
         raise RangeError(f"Gamma_q({alpha!r}) at q={q!r} overflows the float range")
     return value
@@ -362,3 +388,13 @@ def gamma_q(alpha: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     return _gamma_q_cached(
         float(alpha), float(q), tol.rel_tol, tol.abs_tol, int(tol.max_terms)
     )
+
+
+def _log_gamma_q(alpha: float, q: float, max_terms: int) -> float:
+    """log Gamma_q(alpha) for a checked q and alpha > 0, from
+    log (1-q)_q^(alpha-1) - (alpha-1) log(1-q): finite also where Gamma_q
+    itself leaves the float range."""
+    log_q = math.log(q)
+    nu = alpha - 1.0
+    _, log_abs, _ = _q_product(q, q, math.expm1(nu * log_q), math.exp(nu * log_q), max_terms)
+    return log_abs - nu * math.log1p(-q)

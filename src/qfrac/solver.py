@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NonConvergenceError, PreconditionError, StepError
 from .operators import OperatorKernel, build_kernel, fractional_integral
-from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, q_factorial_power
-from .special import MLSpec, convergence_ratio_estimate, mittag_leffler, mittag_leffler_modified
+from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
+from .special import MLSpec, _ml_series, _SeriesMemo, convergence_ratio_estimate
 
 
 def _check_finite(**values: float) -> None:
@@ -131,34 +131,45 @@ def solve_linear_closed(
     with ``via_modified_ml`` the equivalent representation through the
     modified Mittag-Leffler function (kernel absorbed into the series) is
     used instead.  The two agree and are cross-checked in the test suite.
+
+    The call evaluates one series per grid pair (i, j), and each term of a
+    series is a q-product (t_i - s)_q^nu, which depends only on s/t_i (see
+    :class:`qfrac.special._SeriesMemo`).  On the grid these ratios repeat
+    across pairs, so all series of the call share one memo: each distinct
+    product factor and each Gamma_q(alpha k + beta) is evaluated once per
+    call.  The memo is dropped when the call returns, and the result is the
+    same float for float as with every product evaluated afresh.
     """
     _check_convergence_domain(p)
     grid, q, al = p.grid, p.grid.q, p.alpha.alpha
     a = grid.points[p.a_index]
+    memo = _SeriesMemo(q, tol)
     y = np.empty(grid.count)
     y[: p.a_index] = p.y0
-    forcing = p.forcing.values
-    any_forcing = bool(np.any(forcing[p.a_index + 1 :] != 0.0))
+    forcing = p.forcing.values.tolist()
+    hom_spec = MLSpec(al, 1.0, p.lam, a, tol)
+    # one spec per forcing point, shared by every t_i at or above it
+    forced = [
+        (j, grid.points[j], forcing[j],
+         MLSpec(al, al, p.lam, (q if via_modified_ml else q ** al) * grid.points[j], tol))
+        for j in range(p.a_index + 1, grid.count)
+        if forcing[j] != 0.0
+    ]
     for i in range(p.a_index, grid.count):
         ti = grid.points[i]
-        if via_modified_ml:
-            hom = mittag_leffler_modified(MLSpec(al, 1.0, p.lam, a, tol), ti, q).value
-        else:
-            hom = mittag_leffler(MLSpec(al, 1.0, p.lam, a, tol), ti, q).value
+        hom = _ml_series(hom_spec, ti, q, via_modified_ml, memo).value
         acc = 0.0
-        if any_forcing:
+        if forced:
             parts = []
-            for j in range(p.a_index + 1, i + 1):
-                tj = grid.points[j]
-                if forcing[j] == 0.0:
-                    continue
+            for j, tj, fj, spec in forced:
+                if j > i:
+                    break
+                ml = _ml_series(spec, ti, q, via_modified_ml, memo).value
                 if via_modified_ml:
-                    ml = mittag_leffler_modified(MLSpec(al, al, p.lam, q * tj, tol), ti, q).value
-                    parts.append(tj * ml * forcing[j])
+                    parts.append(tj * ml * fj)
                 else:
-                    ml = mittag_leffler(MLSpec(al, al, p.lam, q ** al * tj, tol), ti, q).value
-                    kern = q_factorial_power(ti, q * tj, al - 1.0, q, tol)
-                    parts.append(tj * kern * ml * forcing[j])
+                    kern = memo.power(ti, q * tj, al - 1.0)
+                    parts.append(tj * kern * ml * fj)
             acc = (1.0 - q) * math.fsum(parts)
         y[i] = p.y0 * hom + acc
     sol = GridFn(grid, y)

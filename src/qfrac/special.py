@@ -14,15 +14,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DivergenceError, DomainError, NonConvergenceError, PoleError, QFracError
+from .errors import (
+    DivergenceError,
+    DomainError,
+    NonConvergenceError,
+    PoleError,
+    QFracError,
+    RangeError,
+)
 from .qcore import (
     DEFAULT_TOL,
     Tolerance,
     _check_q,
+    _log_gamma_q,
+    _q_factorial_power,
     _q_product,
     gamma_q,
     q_bracket,
-    q_factorial_power,
 )
 
 
@@ -68,22 +76,103 @@ def convergence_ratio_estimate(alpha: float, q: float, t: float, a: float, lam: 
     return abs(lam) * t ** alpha * (1.0 - q) ** alpha
 
 
-def _ml_series(spec: MLSpec, t: float, q: float, offset: float, label: str) -> MLResult:
+class _SeriesMemo:
+    """What the Mittag-Leffler series of one computation share, for one base q
+    and one tolerance: q-products and the Gamma_q(alpha k + beta) sequences.
+
+    A product depends on t and s only through r = s/t, since
+    (t - s)_q^nu = t**nu (r; q)_inf / (q**nu r; q)_inf (Gasper & Rahman,
+    Basic Hypergeometric Series, 1.10).  On the window t_i = t_0 q**-i the
+    ratios of a closed-form solve, the kernel's q t_j / t_i and the series'
+    q**(alpha k) t0 / t_i, depend in exact arithmetic only on i - j and k,
+    and most of them repeat as exact floats too.  Each product factor is
+    therefore evaluated once per exact float (nu, r), and a hit takes the
+    same float operations as a fresh evaluation, so results do not depend on
+    what the memo holds.  A memo lives for one call of the function that
+    makes it and is never kept beyond it.
+    """
+
+    def __init__(self, q: float, tol: Tolerance) -> None:
+        self.q = q
+        self.max_terms = tol.max_terms
+        self._products: dict[float, dict[float, float]] = {}
+        self._gammas: dict[tuple[float, float], list[float]] = {}
+        self._log_gammas: dict[float, float] = {}
+
+    def power(self, t: float, s: float, nu: float) -> float:
+        """(t - s)_q^nu, as :func:`q_factorial_power` gives it."""
+        products = self._products.get(nu)
+        if products is None:
+            products = self._products[nu] = {}
+        return _q_factorial_power(t, s, nu, self.q, self.max_terms, products)
+
+    def gammas(self, alpha: float, beta: float) -> list[float]:
+        """Gamma_q(alpha k + beta) for k = 0, 1, ... as far as a series has
+        extended the list, which ends at the first value past the float
+        range, stored as inf."""
+        return self._gammas.setdefault((alpha, beta), [])
+
+    def log_gamma(self, x: float) -> float:
+        """log Gamma_q(x), for terms whose Gamma_q is past the float range."""
+        value = self._log_gammas.get(x)
+        if value is None:
+            value = self._log_gammas[x] = _log_gamma_q(x, self.q, self.max_terms)
+        return value
+
+
+def _gamma_or_inf(x: float, q: float, tol: Tolerance) -> float:
+    try:
+        return gamma_q(x, q, tol)
+    except RangeError:
+        return math.inf
+
+
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
+def _log_form(x: float, y: float) -> list[float]:
+    """[sign, log|x * y|] of a product carried past the float range."""
+    return [math.copysign(1.0, x) * math.copysign(1.0, y), _log_abs(x) + _log_abs(y)]
+
+
+def _ml_series(
+    spec: MLSpec, t: float, q: float, modified: bool = False, memo: _SeriesMemo | None = None
+) -> MLResult:
+    """sum_k lam**k (t - t0)_q^(alpha k + offset) / Gamma_q(alpha k + beta),
+    with offset beta - 1 for the modified function and 0 otherwise.
+
+    ``memo``, built for this q and spec.tol, shares products and Gamma_q
+    values with the other series of the caller's computation (see
+    :class:`_SeriesMemo`); without it the series uses a memo of its own.
+    Either way the result is the same float.
+
+    A term is lam_pow * power / Gamma_q in floats.  From the first term
+    where lam**k or Gamma_q leaves the float range, lam**k * power is
+    carried as a sign and a log and the term is exp(log - log Gamma_q), so
+    a long convergent series is summed instead of stopping on overflow.
+    """
+    label = "modified q-Mittag-Leffler" if modified else "q-Mittag-Leffler"
     _check_q(q)
     if t < spec.t0:
         raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
     tol = spec.tol
-    est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
+    if memo is None:
+        memo = _SeriesMemo(q, tol)
+    alpha, beta, lam, t0 = spec.alpha, spec.beta, spec.lam, spec.t0
+    est = convergence_ratio_estimate(alpha, q, t, t0, lam)
     if est >= 1.0:
         raise DivergenceError(
             f"{label} series diverges at t={t!r}: term-ratio estimate {est:.6g} >= 1",
             ratio=est,
         )
+    gammas = memo.gammas(alpha, beta)
     # factorial power advanced term-by-term through the exponent-addition
     # identity: power(e + alpha) = power(e) * (t - q**e t0)_q^alpha
-    power = q_factorial_power(t, spec.t0, offset, q, tol)
-    exponent = offset
+    exponent = beta - 1.0 if modified else 0.0
+    power = memo.power(t, t0, exponent)
     lam_pow = 1.0
+    scale: list[float] | None = None  # _log_form(lam**k, power) past the float range
     terms: list[float] = []
     running = 0.0
     prev_term: float | None = None
@@ -91,7 +180,15 @@ def _ml_series(spec: MLSpec, t: float, q: float, offset: float, label: str) -> M
     small_run = 0
     growth_run = 0
     for k in range(tol.max_terms):
-        term = lam_pow * power / gamma_q(spec.alpha * k + spec.beta, q, tol)
+        if scale is None:
+            if k == len(gammas):
+                gammas.append(_gamma_or_inf(alpha * k + beta, q, tol))
+            if gammas[k] == math.inf:
+                scale = _log_form(lam_pow, power)
+        if scale is None:
+            term = lam_pow * power / gammas[k]
+        else:
+            term = scale[0] * math.exp(scale[1] - memo.log_gamma(alpha * k + beta))
         terms.append(term)
         running += term
         if prev_term is not None:
@@ -100,7 +197,10 @@ def _ml_series(spec: MLSpec, t: float, q: float, offset: float, label: str) -> M
             else:
                 last_ratio = abs(term) / abs(prev_term)
         threshold = tol.abs_tol + tol.rel_tol * abs(running)
-        if abs(term) <= threshold:
+        # a series that leaves the float range has a term ratio near 1, and
+        # its omitted tail is about term * ratio / (1 - ratio): cut by that
+        cut = threshold if scale is None else threshold * max(0.0, 1.0 - last_ratio)
+        if abs(term) <= cut:
             small_run += 1
         else:
             small_run = 0
@@ -111,16 +211,31 @@ def _ml_series(spec: MLSpec, t: float, q: float, offset: float, label: str) -> M
         if small_run >= 3 and last_ratio < 1.0:
             return MLResult(math.fsum(terms), len(terms), last_ratio, True)
         prev_term = term
-        lam_pow *= spec.lam
-        if power != 0.0:
-            shifted = spec.t0 * q ** exponent
+        if scale is None and abs(lam_pow * lam) == math.inf:
+            scale = _log_form(lam_pow, power)
+        live = power != 0.0 if scale is None else scale[1] > -math.inf
+        if scale is None:
+            lam_pow *= lam
+        elif live:
+            scale[0] *= math.copysign(1.0, lam)
+            scale[1] += _log_abs(lam)
+        if live:
+            shifted = t0 * q ** exponent
             if shifted < t:
-                power *= q_factorial_power(t, shifted, spec.alpha, q, tol)
+                step = memo.power(t, shifted, alpha)
+                if scale is None:
+                    power *= step
+                else:
+                    scale[0] *= math.copysign(1.0, step)
+                    scale[1] += _log_abs(step)
             else:
                 # negative exponents can push the shifted point past t;
                 # fall back to evaluating the next power from scratch
-                power = q_factorial_power(t, spec.t0, exponent + spec.alpha, q, tol)
-        exponent += spec.alpha
+                power = memo.power(t, t0, exponent + alpha)
+                if scale is not None:
+                    scale = [math.copysign(1.0, lam) ** (k + 1) * math.copysign(1.0, power),
+                             (k + 1) * _log_abs(lam) + _log_abs(power)]
+        exponent += alpha
     if growth_run >= 3:
         raise DivergenceError(
             f"{label} terms grew for {growth_run} consecutive steps", ratio=last_ratio
@@ -133,7 +248,7 @@ def _ml_series(spec: MLSpec, t: float, q: float, offset: float, label: str) -> M
 
 def mittag_leffler(spec: MLSpec, t: float, q: float) -> MLResult:
     """sum_k lam**k (t - t0)_q^(alpha k) / Gamma_q(alpha k + beta)."""
-    return _ml_series(spec, t, q, 0.0, "q-Mittag-Leffler")
+    return _ml_series(spec, t, q)
 
 
 def mittag_leffler_modified(spec: MLSpec, t: float, q: float) -> MLResult:
@@ -142,7 +257,7 @@ def mittag_leffler_modified(spec: MLSpec, t: float, q: float) -> MLResult:
     Coincides with :func:`mittag_leffler` at beta = 1; for beta < 1 the k = 0
     exponent is negative, so t must exceed t0 strictly.
     """
-    return _ml_series(spec, t, q, spec.beta - 1.0, "modified q-Mittag-Leffler")
+    return _ml_series(spec, t, q, modified=True)
 
 
 def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:

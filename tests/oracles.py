@@ -7,15 +7,26 @@ randomized cross-checks.  The ``loop_*`` functions at the end are the
 double-precision scalar loops that the package's q-product routine must
 reproduce bit for bit, and the ``numpy_*`` functions are the row engine of
 forward substitution on numpy scalars, which the package's Python-float rows
-must reproduce bit for bit.
+must reproduce bit for bit.  ``loop_solve_linear_closed`` is the closed-form
+solve with every series term's q-product and Gamma_q evaluated afresh, which
+the package's shared-product solve must reproduce bit for bit.
 """
 import math
 
 import numpy as np
 from mpmath import mp, mpf, power
 
-from qfrac.errors import DomainError, NonConvergenceError, PoleError, PreconditionError, StepError
-from qfrac.special import _check_q_exp_big_series
+from qfrac.errors import (
+    DivergenceError,
+    DomainError,
+    NonConvergenceError,
+    PoleError,
+    PreconditionError,
+    StepError,
+)
+from qfrac.qcore import DEFAULT_TOL, GridFn, gamma_q, q_factorial_power
+from qfrac.solver import linear_defect
+from qfrac.special import MLSpec, _check_q_exp_big_series, convergence_ratio_estimate
 
 mp.dps = 50
 
@@ -91,6 +102,30 @@ def ref_ml_modified(alpha, beta, lam, t, t0, q, terms=50):
             * ref_qfp(t, t0, mpf(alpha) * k + mpf(beta) - 1, q)
             / ref_gamma_q(mpf(alpha) * k + mpf(beta), q)
         )
+    return tot
+
+
+def ref_ml_from_zero(alpha, beta, lam, t, q, terms):
+    """sum_k lam**k t**(alpha k) / Gamma_q(alpha k + beta), lower point 0.
+
+    Gamma_q(x) climbs from Gamma_q(x - n), n = floor(alpha k), through
+    Gamma_q(y + 1) = [y]_q Gamma_q(y), so a long series costs O(1) per term
+    once each starting point beta + frac(alpha k) is known; values far past
+    the float range stay exact here.
+    """
+    q, alpha, beta, lam, t = mpf(q), mpf(alpha), mpf(beta), mpf(lam), mpf(t)
+    chains = {}  # start y -> [Gamma_q(y), Gamma_q(y + 1), ...]
+    tot = mpf(0)
+    for k in range(terms):
+        n = int(mp.floor(alpha * k))
+        start = beta + alpha * k - n
+        if start not in chains:
+            chains[start] = [ref_gamma_q(start, q)]
+        chain = chains[start]
+        while len(chain) <= n:
+            y = start + len(chain) - 1
+            chain.append(chain[-1] * (1 - q**y) / (1 - q))
+        tot += lam**k * power(t, alpha * k) / chain[n]
     return tot
 
 
@@ -336,3 +371,106 @@ def numpy_march_integral_equation(kernel, coeff, y_a, slack):
         return y_i, coeff[i] * y_i
 
     return numpy_forward_substitution(kernel, y_a, row)
+
+
+# ------------------------------------ closed form, one q-product per term
+
+def loop_ml_series(spec, t, q, offset, label):
+    """The Mittag-Leffler series term by term: each term calls
+    ``q_factorial_power`` for the factorial-power step and ``gamma_q`` for
+    its Gamma_q, with nothing shared between terms or series."""
+    if t < spec.t0:
+        raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
+    tol = spec.tol
+    est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
+    if est >= 1.0:
+        raise DivergenceError(
+            f"{label} series diverges at t={t!r}: term-ratio estimate {est:.6g} >= 1",
+            ratio=est,
+        )
+    power = q_factorial_power(t, spec.t0, offset, q, tol)
+    exponent = offset
+    lam_pow = 1.0
+    terms = []
+    running = 0.0
+    prev_term = None
+    last_ratio = 0.0
+    small_run = 0
+    growth_run = 0
+    for k in range(tol.max_terms):
+        term = lam_pow * power / gamma_q(spec.alpha * k + spec.beta, q, tol)
+        terms.append(term)
+        running += term
+        if prev_term is not None:
+            if prev_term == 0.0:
+                last_ratio = 0.0 if term == 0.0 else math.inf
+            else:
+                last_ratio = abs(term) / abs(prev_term)
+        threshold = tol.abs_tol + tol.rel_tol * abs(running)
+        if abs(term) <= threshold:
+            small_run += 1
+        else:
+            small_run = 0
+        if prev_term is not None and abs(term) >= abs(prev_term) and abs(term) > threshold:
+            growth_run += 1
+        else:
+            growth_run = 0
+        if small_run >= 3 and last_ratio < 1.0:
+            return math.fsum(terms)
+        prev_term = term
+        lam_pow *= spec.lam
+        if power != 0.0:
+            shifted = spec.t0 * q ** exponent
+            if shifted < t:
+                power *= q_factorial_power(t, shifted, spec.alpha, q, tol)
+            else:
+                power = q_factorial_power(t, spec.t0, exponent + spec.alpha, q, tol)
+        exponent += spec.alpha
+    if growth_run >= 3:
+        raise DivergenceError(
+            f"{label} terms grew for {growth_run} consecutive steps", ratio=last_ratio
+        )
+    raise NonConvergenceError(
+        f"{label} did not meet tolerance within {tol.max_terms} terms",
+        last_delta=terms[-1],
+    )
+
+
+def loop_solve_linear_closed(p, tol=DEFAULT_TOL, via_modified_ml=False, series=None):
+    """(solution values, residual) of the closed-form solve: one series per
+    grid pair (i, j), each through :func:`loop_ml_series`.
+
+    ``series``, when given, is a dict that keeps each series' value under its
+    full argument tuple, so that solves differing only in the forcing
+    evaluate each series once; the values do not depend on it."""
+    grid, q, al = p.grid, p.grid.q, p.alpha.alpha
+    a = grid.points[p.a_index]
+    label = "modified q-Mittag-Leffler" if via_modified_ml else "q-Mittag-Leffler"
+    series = {} if series is None else series
+
+    def ml(spec, t, offset):
+        key = (spec, t, q, offset, label)
+        if key not in series:
+            series[key] = loop_ml_series(spec, t, q, offset, label)
+        return series[key]
+
+    y = np.empty(grid.count)
+    y[: p.a_index] = p.y0
+    forcing = p.forcing.values
+    for i in range(p.a_index, grid.count):
+        ti = grid.points[i]
+        hom = ml(MLSpec(al, 1.0, p.lam, a, tol), ti, 0.0)
+        parts = []
+        for j in range(p.a_index + 1, i + 1):
+            tj = grid.points[j]
+            if forcing[j] == 0.0:
+                continue
+            if via_modified_ml:
+                parts.append(tj * ml(MLSpec(al, al, p.lam, q * tj, tol), ti, al - 1.0) * forcing[j])
+            else:
+                m = ml(MLSpec(al, al, p.lam, q ** al * tj, tol), ti, 0.0)
+                kern = q_factorial_power(ti, q * tj, al - 1.0, q, tol)
+                parts.append(tj * kern * m * forcing[j])
+        y[i] = p.y0 * hom + (1.0 - q) * math.fsum(parts)
+    sol = GridFn(grid, y)
+    return sol.values, float(np.max(linear_defect(p, sol, tol)))

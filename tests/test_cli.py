@@ -12,7 +12,7 @@ from qfrac.cli import main
 from qfrac.gronwall import sart_bound
 from qfrac.qcore import FracOrder, make_grid
 
-from oracles import ref_Eq_product, ref_ml
+from oracles import ref_Eq_product, ref_ml, ref_ml_from_zero
 
 
 @pytest.fixture()
@@ -69,13 +69,33 @@ def test_eval_domain_error_exit_code(runner):
 
 @pytest.mark.parametrize("args", [
     ["eval", "gamma", "--alpha", "1100", "--q", "0.5"],
-    ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--lambda", "1.413", "--q", "0.5", "--t", "1"],
-    ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--lambda", "1.4", "--q", "0.5", "--t", "1"],
 ])
 def test_eval_gamma_overflow_is_range_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 1
     assert json.loads(res.stderr)["error"] == "RangeError"
+    assert res.stdout == ""
+
+
+ML_PAST_GAMMA_OVERFLOW = ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--q", "0.5", "--t", "1"]
+
+
+def test_eval_ml_past_gamma_q_overflow_matches_reference(runner):
+    # term ratio 0.99: Gamma_q(0.5 k + 1) leaves the float range at k = 2052,
+    # before the series converges; the value itself is about 335
+    res = runner.invoke(main, ML_PAST_GAMMA_OVERFLOW + ["--lambda", "1.4"])
+    assert res.exit_code == 0, res.stderr
+    _, value, terms = res.stdout.strip().split("\n")[1].rsplit(",", 2)
+    assert int(terms) > 2052
+    want = float(ref_ml_from_zero(0.5, 1.0, 1.4, 1.0, 0.5, terms=8000))
+    assert float(value) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_eval_ml_past_gamma_q_overflow_refuses_a_partial_sum(runner):
+    # term ratio 0.9991 needs ~40,000 terms, more than max_terms
+    res = runner.invoke(main, ML_PAST_GAMMA_OVERFLOW + ["--lambda", "1.413"])
+    assert res.exit_code == 1
+    assert json.loads(res.stderr)["error"] == "NonConvergenceError"
     assert res.stdout == ""
 
 
@@ -188,6 +208,22 @@ def test_bound_constant_mu_matches_eval_ml(runner, tmp_path):
         ml_value = float(ml.output.strip().split("\n")[1].split(",")[1])
         assert float(bound) == pytest.approx(ml_value, rel=1e-10)
     assert res.output.strip().split("\n")[-1].startswith("# max_violation=")
+
+
+def test_bound_overflow_is_one_json_error_on_stderr(tmp_path):
+    # v(a) * series overflows; the process must not print a numpy warning
+    # ahead of the JSON error (run as a process, with default warning filters)
+    path = tmp_path / "v.csv"
+    path.write_text("t,v\n0.5,1e308\n1,1e308\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfrac", "bound", str(path), "--q", "0.5", "--alpha", "0.5",
+         "--mu", "1.0"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "DivergenceError"
 
 
 def test_bound_zero_mu_column(runner, tmp_path):

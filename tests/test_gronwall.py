@@ -1,6 +1,7 @@
 """Tests for the admissibility check, the Gronwall-type bound, the comparison
 verifier, the order-1 corollary, and the dependence experiment."""
 import math
+import warnings
 
 import hypothesis
 import numpy as np
@@ -179,6 +180,19 @@ def test_bound_diverges_on_long_window():
     mu = GridFn(long, 0.999 * sart_bound(long, alpha))
     with pytest.raises(DivergenceError):
         gronwall_bound(GronwallInput(v=GridFn.constant(long, 1.0), mu=mu, alpha=alpha, a_index=0))
+
+
+@pytest.mark.parametrize("v_a", [1e308, -1e308])
+def test_bound_overflow_raises_without_a_warning(v_a):
+    # v(a) * series leaves the float range: DivergenceError, and no numpy
+    # RuntimeWarning first (which warnings-as-errors would turn into the error)
+    grid = make_grid(Q, 1, 2)
+    inp = GronwallInput(v=GridFn.constant(grid, v_a), mu=GridFn.constant(grid, 1.0),
+                        alpha=ALPHA, a_index=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="overflows"):
+            gronwall_bound(inp)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])

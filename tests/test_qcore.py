@@ -222,10 +222,11 @@ def test_gamma_q_rejects_nonpositive():
         gamma_q(-0.5, 0.5)
 
 
-@pytest.mark.parametrize("alpha", [1027.0, 1100.0])
+@pytest.mark.parametrize("alpha", [1027.0, 1100.0, 2200.0])
 def test_gamma_q_overflow_is_range_error(alpha):
     # Gamma_q(alpha) ~ 0.29 * 2**(alpha-1) at q = 0.5 exceeds the float range;
-    # at alpha = 1100, (1-q)**(alpha-1) also underflows to 0
+    # at alpha = 1100, (1-q)**(alpha-1) also underflows to 0, and at 2200 so
+    # does its square root
     with pytest.raises(RangeError):
         gamma_q(alpha, 0.5)
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, PoleError, QFracError, RangeError
+from qfrac.errors import DivergenceError, DomainError, NonConvergenceError, PoleError, QFracError
 from qfrac.qcore import gamma_q, make_grid
 from qfrac.special import (
     MLSpec,
@@ -14,7 +14,14 @@ from qfrac.special import (
     q_exp_small,
 )
 
-from oracles import ref_Eq_product, ref_Eq_series, ref_eq_small, ref_ml, ref_ml_modified
+from oracles import (
+    ref_Eq_product,
+    ref_Eq_series,
+    ref_eq_small,
+    ref_ml,
+    ref_ml_from_zero,
+    ref_ml_modified,
+)
 
 Q = 0.5
 
@@ -100,12 +107,29 @@ def test_ml_spec_rejects_nonfinite_lambda(lam):
         MLSpec(0.5, 1.0, lam)
 
 
-@pytest.mark.parametrize("lam", [1.4, 1.413])
-def test_ml_series_stops_where_gamma_q_overflows(lam):
-    # the series needs more than 2052 terms here, and Gamma_q(0.5 k + 1)
-    # leaves the float range before that: no term may silently become 0
-    with pytest.raises(RangeError):
-        mittag_leffler(MLSpec(0.5, 1.0, lam), 1.0, Q)
+def test_ml_series_continues_past_gamma_q_overflow():
+    # term ratio 0.99: the series needs more than 2052 terms, and
+    # Gamma_q(0.5 k + 1) leaves the float range at k = 2052
+    res = mittag_leffler(MLSpec(0.5, 1.0, 1.4), 1.0, Q)
+    assert res.converged and res.terms_used > 2052
+    want = ref_ml_from_zero(0.5, 1.0, 1.4, 1.0, Q, terms=8000)
+    assert res.value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_ml_series_past_gamma_q_overflow_still_refuses_a_partial_sum():
+    # term ratio 0.9991 needs ~40,000 terms, more than max_terms
+    with pytest.raises(NonConvergenceError, match="within 10000 terms"):
+        mittag_leffler(MLSpec(0.5, 1.0, 1.413), 1.0, Q)
+
+
+@pytest.mark.parametrize("lam", [1e200, -1e200])
+def test_ml_series_continues_past_lambda_power_overflow(lam):
+    # lam**2 overflows and t**2 underflows at the same step, while each
+    # term lam**k t**k / [k]_q! of e_q(lam t) stays moderate
+    t = 1e-200
+    res = mittag_leffler(MLSpec(1.0, 1.0, lam), t, Q)
+    assert res.converged
+    assert res.value == pytest.approx(q_exp_small(lam * t, Q), rel=1e-12)
 
 
 # --------------------------------------------------- mittag_leffler_modified
