@@ -221,14 +221,11 @@ def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
         )
         res = mittag_leffler(MLSpec(alpha, beta, lam, t0, tolerance), t, q)
         value, terms = res.value, res.terms_used
-    elif kind == "eq":
+    else:  # eq or Eq
         t = need("t", _resolve(t, cfg, "t", float, None))
         label = f"t={_fmt(t)};q={_fmt(q)}"
-        value, terms = _q_exp_small_with_terms(t, q, tolerance)
-    else:  # Eq
-        t = need("t", _resolve(t, cfg, "t", float, None))
-        label = f"t={_fmt(t)};q={_fmt(q)}"
-        value, terms = _q_exp_big_with_terms(t, q, tolerance)
+        evaluate = _q_exp_small_with_terms if kind == "eq" else _q_exp_big_with_terms
+        value, terms = evaluate(t, q, tolerance)
 
     if rc.fmt == "json":
         click.echo(

@@ -22,7 +22,7 @@ from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OmegaOp, OperatorKernel, build_kernel, omega_apply
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
-from .special import MLSpec, _ml_series, _SeriesMemo, mittag_leffler
+from .special import MLSpec, _ml_series, _SeriesMemo, convergence_ratio_estimate
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
@@ -185,6 +185,8 @@ class ComparisonInput:
             raise DomainError("the comparison check is stated for orders in (0, 1]")
         if not 0 <= self.a_index < self.w.grid.count:
             raise DomainError(f"a_index {self.a_index} outside grid")
+        if not np.isfinite(np.concatenate((self.w.values, self.v.values, self.x.values))).all():
+            raise DomainError("w, v and x must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +260,16 @@ def march_integral_equation(
     diagonal factor 1 - W[i,i] coeff[i], and a factor that is not positive
     raises PreconditionError.  Below the lower limit y is filled with y_a.
     Nonnegative slack produces sub-solutions, nonpositive slack
-    super-solutions, zero slack the equality solution.
+    super-solutions, zero slack the equality solution.  Non-finite data
+    raises DomainError.
     """
     for name, fn in (("coefficient", coeff), ("slack", slack)):
         if fn is not None and fn.grid != kernel.grid:
             raise DomainError(f"{name} and kernel live on different grids")
     slack_values = None if slack is None else slack.values
+    finite = math.isfinite(y_a) and np.isfinite(coeff.values).all()
+    if not (finite and (slack_values is None or np.isfinite(slack_values).all())):
+        raise DomainError("coefficient, slack and y_a must be finite")
     return GridFn(kernel.grid, _linear_rows(kernel, coeff.values, y_a, slack_values))
 
 
@@ -280,12 +286,7 @@ def q_gronwall_classical(
     order-1 Mittag-Leffler closed form; a disagreement raises.
     """
     grid = v.grid
-    q = grid.q
-    bad = [
-        int(i)
-        for i in range(grid.count)
-        if not (0.0 <= delta.values[i] < 1.0 / (1.0 - q))
-    ]
+    bad = [i for i, d in enumerate(delta.values.tolist()) if not 0.0 <= d < 1.0 / (1.0 - grid.q)]
     if bad:
         raise PreconditionError(
             f"delta must satisfy 0 <= delta < 1/(1-q); offending indices {bad}",
@@ -295,11 +296,10 @@ def q_gronwall_classical(
     result = gronwall_bound(inp, tol)
     lam = float(delta.values[0])
     if np.all(delta.values == lam):
-        a = grid.points[a_index]
         v_a = float(v.values[a_index])
+        ml = _ml_per_point(grid, a_index, 1.0, lam, tol)
         for i in range(a_index, grid.count):
-            ml = mittag_leffler(MLSpec(1.0, 1.0, lam, a, tol), grid.points[i], q).value
-            closed = v_a * ml
+            closed = v_a * ml[i]
             got = float(result.bound.values[i])
             if abs(got - closed) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(closed)):
                 raise QFracError(
@@ -326,17 +326,23 @@ class DependenceReport:
     sequence_within_bound: bool
 
 
+def _ml_per_point(
+    grid: QGrid, a_index: int, alpha: float, lam: float, tol: Tolerance
+) -> list[float]:
+    """E_alpha(lam, t - a) at each grid point from the lower limit a on, 1
+    below it; one memo serves the N series of this call only."""
+    spec = MLSpec(alpha, 1.0, lam, grid.points[a_index], tol)
+    memo = _SeriesMemo(grid.q, tol)
+    ml = [_ml_series(spec, t, grid.q, memo=memo).value for t in grid.points[a_index:]]
+    return [1.0] * a_index + ml
+
+
 def _ml_bound_factor(
     grid: QGrid, a_index: int, alpha: FracOrder, lam: float, tol: Tolerance
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
     comparison series sum_k (Omega_lam^k 1), which it must equal."""
-    q = grid.q
-    spec = MLSpec(alpha.alpha, 1.0, lam, grid.points[a_index], tol)
-    memo = _SeriesMemo(q, tol)  # shared by the N series of this call only
-    out = np.ones(grid.count)
-    for i in range(a_index, grid.count):
-        out[i] = _ml_series(spec, grid.points[i], q, memo=memo).value
+    out = np.array(_ml_per_point(grid, a_index, alpha.alpha, lam, tol))
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
     mismatch = np.max(np.abs(series[a_index:] - out[a_index:]))
@@ -368,7 +374,10 @@ def dependence_experiment(
     """
     if not 0.0 <= lipschitz < 1.0:
         raise DomainError("Lipschitz constant must satisfy 0 <= L < 1")
-    ratio = lipschitz * grid.points[-1] ** alpha.alpha * (1.0 - grid.q) ** alpha.alpha
+    # the lower limit does not enter the estimate; NonlinearIVP checks a_index
+    ratio = convergence_ratio_estimate(
+        alpha.alpha, grid.q, grid.points[-1], grid.points[0], lipschitz
+    )
     if ratio >= 1.0:
         raise DivergenceError(
             f"bound factor diverges on this grid: estimate {ratio:.6g} >= 1", ratio=ratio

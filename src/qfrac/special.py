@@ -1,26 +1,24 @@
 """q-Mittag-Leffler functions, their modified variants, and the two
 q-exponentials.
 
-Series are truncated once three consecutive terms fall below the combined
-absolute/relative tolerance while the measured consecutive-term ratio is
-below 1; a single small term is not taken as proof that the tail decays.
+Every series here stops by one rule, :func:`_sum_until_small`, which
+keeps the omitted tail within tolerance and never returns a partial sum.
 Evaluations outside the convergence region (term-ratio estimate >= 1) raise
-a structured divergence error instead of returning a partial sum.  That
-criterion, |lam| t**alpha (1-q)**alpha < 1, is artifact policy extrapolated
-from the measurable asymptotic term ratio.
+a structured divergence error up front.  That criterion,
+|lam| t**alpha (1-q)**alpha < 1, is artifact policy extrapolated from the
+measurable asymptotic term ratio.  E_q(t) is a product, and e_q(t) is
+evaluated as E_q((1 - q) t), or by a series of positive terms where that
+product is too long, so neither cancels for t < 0.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .errors import (
-    DivergenceError,
-    DomainError,
-    NonConvergenceError,
-    PoleError,
-    QFracError,
-    RangeError,
+    DivergenceError, DomainError, NonConvergenceError, PoleError, QFracError, RangeError
 )
 from .qcore import (
     DEFAULT_TOL,
@@ -99,12 +97,16 @@ class _SeriesMemo:
         self._gammas: dict[tuple[float, float], list[float]] = {}
         self._log_gammas: dict[float, float] = {}
 
-    def power(self, t: float, s: float, nu: float) -> float:
-        """(t - s)_q^nu, as :func:`q_factorial_power` gives it."""
+    def products(self, nu: float) -> dict[float, float]:
+        """The product factors of (t - s)_q^nu, keyed by s/t."""
         products = self._products.get(nu)
         if products is None:
             products = self._products[nu] = {}
-        return _q_factorial_power(t, s, nu, self.q, self.max_terms, products)
+        return products
+
+    def power(self, t: float, s: float, nu: float) -> float:
+        """(t - s)_q^nu, as :func:`q_factorial_power` gives it."""
+        return _q_factorial_power(t, s, nu, self.q, self.max_terms, self.products(nu))
 
     def gammas(self, alpha: float, beta: float) -> list[float]:
         """Gamma_q(alpha k + beta) for k = 0, 1, ... as far as a series has
@@ -120,20 +122,50 @@ class _SeriesMemo:
         return value
 
 
-def _gamma_or_inf(x: float, q: float, tol: Tolerance) -> float:
-    try:
-        return gamma_q(x, q, tol)
-    except RangeError:
-        return math.inf
-
-
 def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
-def _log_form(x: float, y: float) -> list[float]:
-    """[sign, log|x * y|] of a product carried past the float range."""
-    return [math.copysign(1.0, x) * math.copysign(1.0, y), _log_abs(x) + _log_abs(y)]
+def _sum_until_small(terms: Iterator[float], tol: Tolerance, label: str) -> tuple[list[float], float]:
+    """(terms taken, last measured term ratio) of a series, by the one
+    stopping rule of this module.
+
+    With thr = abs_tol + rel_tol |running sum| and r the ratio of the last
+    two term magnitudes, a term is small when |term| <= thr, or, once
+    r > 1/2, when |term| <= thr (1 - r): the omitted tail is then about
+    |term| r / (1 - r), which that bar keeps below thr.  The series stops
+    after three consecutive small terms while r < 1.  When ``max_terms``
+    run out it raises DivergenceError if the last three terms grew above
+    thr, and NonConvergenceError otherwise; a partial sum is never returned.
+    A sum that leaves the float range raises RangeError.
+    """
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
+    taken: list[float] = []
+    running = 0.0
+    prev = math.inf  # |previous term|; inf before the first, so that r = 0 there
+    small_run = growth_run = 0
+    for term in islice(terms, tol.max_terms):
+        taken.append(term)
+        running += term
+        size = abs(term)
+        ratio = size / prev if prev else (math.inf if size else 0.0)
+        threshold = abs_tol + rel_tol * abs(running)
+        bar = threshold * (1.0 - ratio) if ratio > 0.5 else threshold
+        small_run = small_run + 1 if size <= bar else 0
+        growth_run = growth_run + 1 if size >= prev and size > threshold else 0
+        if small_run >= 3 and ratio < 1.0:
+            break
+        prev = size
+    else:
+        if growth_run >= 3:
+            raise DivergenceError(f"{label} terms grew for {growth_run} consecutive steps", ratio=ratio)
+        if abs(running) != math.inf:
+            raise NonConvergenceError(
+                f"{label} did not meet tolerance within {tol.max_terms} terms", last_delta=taken[-1]
+            )
+    if abs(running) == math.inf:
+        raise RangeError(f"{label} sum leaves the float range")
+    return taken, ratio
 
 
 def _ml_series(
@@ -146,104 +178,85 @@ def _ml_series(
     values with the other series of the caller's computation (see
     :class:`_SeriesMemo`); without it the series uses a memo of its own.
     Either way the result is the same float.
+    """
+    label = "modified q-Mittag-Leffler" if modified else "q-Mittag-Leffler"
+    _check_q(q)
+    if t < spec.t0:
+        raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
+    if memo is None:
+        memo = _SeriesMemo(q, spec.tol)
+    est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
+    if est >= 1.0:
+        raise DivergenceError(
+            f"{label} series diverges at t={t!r}: term-ratio estimate {est:.6g} >= 1",
+            ratio=est,
+        )
+    terms, ratio = _sum_until_small(_ml_terms(spec, t, q, modified, memo), spec.tol, label)
+    return MLResult(math.fsum(terms), len(terms), ratio, True)
+
+
+def _ml_terms(
+    spec: MLSpec, t: float, q: float, modified: bool, memo: _SeriesMemo
+) -> Iterator[float]:
+    """The terms of :func:`_ml_series`, without end.
 
     A term is lam_pow * power / Gamma_q in floats.  From the first term
     where lam**k or Gamma_q leaves the float range, lam**k * power is
     carried as a sign and a log and the term is exp(log - log Gamma_q), so
     a long convergent series is summed instead of stopping on overflow.
     """
-    label = "modified q-Mittag-Leffler" if modified else "q-Mittag-Leffler"
-    _check_q(q)
-    if t < spec.t0:
-        raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
-    tol = spec.tol
-    if memo is None:
-        memo = _SeriesMemo(q, tol)
     alpha, beta, lam, t0 = spec.alpha, spec.beta, spec.lam, spec.t0
-    est = convergence_ratio_estimate(alpha, q, t, t0, lam)
-    if est >= 1.0:
-        raise DivergenceError(
-            f"{label} series diverges at t={t!r}: term-ratio estimate {est:.6g} >= 1",
-            ratio=est,
-        )
     gammas = memo.gammas(alpha, beta)
     # factorial power advanced term-by-term through the exponent-addition
     # identity: power(e + alpha) = power(e) * (t - q**e t0)_q^alpha
     exponent = beta - 1.0 if modified else 0.0
     power = memo.power(t, t0, exponent)
+    steps = memo.products(alpha)  # read on every term, so fetched once
     lam_pow = 1.0
-    scale: list[float] | None = None  # _log_form(lam**k, power) past the float range
-    terms: list[float] = []
-    running = 0.0
-    prev_term: float | None = None
-    last_ratio = 0.0
-    small_run = 0
-    growth_run = 0
-    for k in range(tol.max_terms):
-        if scale is None:
-            if k == len(gammas):
-                gammas.append(_gamma_or_inf(alpha * k + beta, q, tol))
-            if gammas[k] == math.inf:
-                scale = _log_form(lam_pow, power)
-        if scale is None:
-            term = lam_pow * power / gammas[k]
-        else:
-            term = scale[0] * math.exp(scale[1] - memo.log_gamma(alpha * k + beta))
-        terms.append(term)
-        running += term
-        if prev_term is not None:
-            if prev_term == 0.0:
-                last_ratio = 0.0 if term == 0.0 else math.inf
-            else:
-                last_ratio = abs(term) / abs(prev_term)
-        threshold = tol.abs_tol + tol.rel_tol * abs(running)
-        # a series that leaves the float range has a term ratio near 1, and
-        # its omitted tail is about term * ratio / (1 - ratio): cut by that
-        cut = threshold if scale is None else threshold * max(0.0, 1.0 - last_ratio)
-        if abs(term) <= cut:
-            small_run += 1
-        else:
-            small_run = 0
-        if prev_term is not None and abs(term) >= abs(prev_term) and abs(term) > threshold:
-            growth_run += 1
-        else:
-            growth_run = 0
-        if small_run >= 3 and last_ratio < 1.0:
-            return MLResult(math.fsum(terms), len(terms), last_ratio, True)
-        prev_term = term
-        if scale is None and abs(lam_pow * lam) == math.inf:
-            scale = _log_form(lam_pow, power)
-        live = power != 0.0 if scale is None else scale[1] > -math.inf
-        if scale is None:
-            lam_pow *= lam
-        elif live:
-            scale[0] *= math.copysign(1.0, lam)
-            scale[1] += _log_abs(lam)
-        if live:
+    for k in count():  # while lam**k and Gamma_q are finite floats
+        if k == len(gammas):
+            try:
+                gammas.append(gamma_q(alpha * k + beta, q, spec.tol))
+            except RangeError:
+                gammas.append(math.inf)
+        if gammas[k] == math.inf:
+            break
+        yield lam_pow * power / gammas[k]
+        if abs(lam_pow * lam) == math.inf:
+            break
+        lam_pow *= lam
+        if power != 0.0:
             shifted = t0 * q ** exponent
             if shifted < t:
-                step = memo.power(t, shifted, alpha)
-                if scale is None:
-                    power *= step
-                else:
-                    scale[0] *= math.copysign(1.0, step)
-                    scale[1] += _log_abs(step)
+                power *= _q_factorial_power(t, shifted, alpha, q, memo.max_terms, steps)
             else:
                 # negative exponents can push the shifted point past t;
                 # fall back to evaluating the next power from scratch
                 power = memo.power(t, t0, exponent + alpha)
-                if scale is not None:
-                    scale = [math.copysign(1.0, lam) ** (k + 1) * math.copysign(1.0, power),
-                             (k + 1) * _log_abs(lam) + _log_abs(power)]
         exponent += alpha
-    if growth_run >= 3:
-        raise DivergenceError(
-            f"{label} terms grew for {growth_run} consecutive steps", ratio=last_ratio
-        )
-    raise NonConvergenceError(
-        f"{label} did not meet tolerance within {tol.max_terms} terms",
-        last_delta=terms[-1],
-    )
+    # past the float range: scale is [sign, log|lam**k power|]; term k is
+    # still due after a Gamma_q overflow, not after a lam**(k + 1) overflow
+    scale = [math.copysign(1.0, lam_pow) * math.copysign(1.0, power),
+             _log_abs(lam_pow) + _log_abs(power)]
+    due = gammas[k] == math.inf
+    while True:
+        if due:
+            yield scale[0] * math.exp(scale[1] - memo.log_gamma(alpha * k + beta))
+        due = True
+        if scale[1] > -math.inf:
+            scale[0] *= math.copysign(1.0, lam)
+            scale[1] += _log_abs(lam)
+            shifted = t0 * q ** exponent
+            if shifted < t:
+                step = _q_factorial_power(t, shifted, alpha, q, memo.max_terms, steps)
+                scale[0] *= math.copysign(1.0, step)
+                scale[1] += _log_abs(step)
+            else:
+                power = memo.power(t, t0, exponent + alpha)
+                scale = [math.copysign(1.0, lam) ** (k + 1) * math.copysign(1.0, power),
+                         (k + 1) * _log_abs(lam) + _log_abs(power)]
+        exponent += alpha
+        k += 1
 
 
 def mittag_leffler(spec: MLSpec, t: float, q: float) -> MLResult:
@@ -263,40 +276,41 @@ def mittag_leffler_modified(spec: MLSpec, t: float, q: float) -> MLResult:
 def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """e_q(t) = sum_k t**k / [k]_q!, convergent for |t| (1 - q) < 1.
 
-    Satisfies e_q(t) = E_q((1 - q) t) on the shared domain.
+    Evaluated as E_q((1 - q) t) (Gasper & Rahman, Basic Hypergeometric
+    Series, 1.3), whose product has only positive factors for t < 0, where
+    the series above cancels.  Where that product needs more than
+    tol.max_terms factors (q above about 0.9964 by default), the series is
+    summed instead, for t < 0 as 1 / sum_k q**(k(k-1)/2) |t|**k / [k]_q!
+    (their (1.3.15)), whose terms are positive too.
     """
-    value, _ = _q_exp_small_with_terms(t, q, tol)
-    return value
+    return _q_exp_small_with_terms(t, q, tol)[0]
 
 
 def _q_exp_small_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
+    """(e_q(t), factors of the E_q product used, or series terms summed)."""
     _check_q(q)
     ratio_limit = abs(t) * (1.0 - q)
     if ratio_limit >= 1.0:
         raise DivergenceError(
             f"e_q series needs |t|(1-q) < 1, got {ratio_limit:.6g}", ratio=ratio_limit
         )
-    terms = [1.0]
-    term = 1.0
-    running = 1.0
-    small_run = 0
-    # geometric tail ~ term * r/(1-r): scale the cutoff so the omitted part
-    # stays inside tolerance even close to the convergence edge
-    tail_scale = 1.0 - ratio_limit
-    for k in range(1, tol.max_terms):
-        term *= t / q_bracket(float(k), q)
-        terms.append(term)
-        running += term
-        if abs(term) <= (tol.abs_tol + tol.rel_tol * abs(running)) * tail_scale:
-            small_run += 1
-            if small_run >= 3:
-                return math.fsum(terms), len(terms)
-        else:
-            small_run = 0
-    raise NonConvergenceError(
-        f"e_q series did not meet tolerance within {tol.max_terms} terms",
-        last_delta=term,
-    )
+    try:
+        return _q_exp_big_with_terms((1.0 - q) * t, q, tol)
+    except NonConvergenceError:  # a product longer than max_terms
+        pass
+    terms, _ = _sum_until_small(_q_exp_small_terms(abs(t), q, t < 0.0), tol, "e_q series")
+    total = math.fsum(terms)
+    return (1.0 / total if t < 0.0 else total), len(terms)
+
+
+def _q_exp_small_terms(t: float, q: float, damped: bool) -> Iterator[float]:
+    """t**k / [k]_q! for k = 0, 1, ..., times q**(k(k-1)/2) when damped."""
+    term = damp = 1.0
+    for k in count(1):
+        yield term
+        term *= t * damp / q_bracket(float(k), q)
+        if damped:
+            damp *= q
 
 
 def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -305,8 +319,7 @@ def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     The product is the primary evaluation; for |t| < 1 the power series
     sum_n t**n / (q)_n is summed as well and the two must agree.
     """
-    value, _ = _q_exp_big_with_terms(t, q, tol)
-    return value
+    return _q_exp_big_with_terms(t, q, tol)[0]
 
 
 def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
@@ -327,37 +340,18 @@ def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, in
 
 
 def _check_q_exp_big_series(t: float, q: float, tol: Tolerance, product: float) -> None:
-    """Raise QFracError unless the power series agrees with the product.
+    """Raise QFracError unless the power series sum_n t**n / (q)_n, summed
+    by :func:`_sum_until_small`, agrees with the product.
 
     The tolerance scales with the sum of |terms|, the series' own rounding
     bound: for t < 0 the terms alternate and cancel, so the series can lose
     every digit of a small E_q(t) that the product still gets right.
     """
-    series, abs_sum = _q_exp_big_series(t, q, tol)
-    if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * abs_sum):
+    # t**n / (q)_n = (t / (1 - q))**n / [n]_q!
+    terms, _ = _sum_until_small(_q_exp_small_terms(t / (1.0 - q), q, False), tol, "E_q series")
+    series = math.fsum(terms)
+    if abs(series - product) > 100.0 * (tol.abs_tol + tol.rel_tol * math.fsum(map(abs, terms))):
         raise QFracError(
             f"E_q product/series disagreement at t={t!r}: {product!r} vs {series!r}"
         )
 
-
-def _q_exp_big_series(t: float, q: float, tol: Tolerance) -> tuple[float, float]:
-    """(sum, sum of |terms|) of sum_n t**n / (q)_n for |t| < 1; tail-aware stopping."""
-    terms = [1.0]
-    tn = 1.0
-    qn = 1.0
-    pochhammer = 1.0
-    running = 1.0
-    tail_scale = (1.0 - abs(t)) if abs(t) < 1.0 else 1.0
-    for _ in range(1, tol.max_terms):
-        tn *= t
-        qn *= q
-        pochhammer *= 1.0 - qn
-        term = tn / pochhammer
-        terms.append(term)
-        running += term
-        if abs(term) <= (tol.abs_tol + tol.rel_tol * abs(running)) * tail_scale:
-            return math.fsum(terms), math.fsum(map(abs, terms))
-    raise NonConvergenceError(
-        f"E_q series did not meet tolerance within {tol.max_terms} terms",
-        last_delta=terms[-1],
-    )

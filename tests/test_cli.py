@@ -50,6 +50,22 @@ def test_eval_Eq_matches_reference(runner):
     assert value == pytest.approx(float(ref_Eq_product(0.5, 0.5)), rel=1e-12)
 
 
+def test_eval_eq_negative_t_does_not_cancel(runner):
+    # e_q(-19) at q = 0.95 through E_q(-0.95); 50-digit value 1.5340944953883362e-07
+    res = invoke(runner, "eval", "eq", "--t", "-19", "--q", "0.95")
+    assert res.exit_code == 0
+    value = float(res.output.strip().split("\n")[1].split(",")[1])
+    assert value == pytest.approx(1.5340944953883362e-07, rel=1e-13, abs=0.0)
+
+
+def test_eval_eq_near_q_one(runner):
+    # the E_q product would need ~36,000 factors here; the series takes over
+    res = invoke(runner, "eval", "eq", "--t", "1", "--q", "0.999")
+    assert res.exit_code == 0
+    value = float(res.output.strip().split("\n")[1].split(",")[1])
+    assert value == pytest.approx(2.718962126489267, rel=1e-13, abs=0.0)
+
+
 def test_eval_json_format(runner):
     res = invoke(runner, "eval", "eq", "--q", "0.5", "--t", "1", "--format", "json")
     payload = json.loads(res.output)

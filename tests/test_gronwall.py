@@ -232,6 +232,30 @@ def test_bound_rejects_nonfinite_input():
                       alpha=ALPHA, a_index=0)
 
 
+def test_integral_equation_rejects_nonfinite_input():
+    nan_at_3 = np.ones(GRID.count)
+    nan_at_3[3] = np.nan
+    x = GridFn.constant(GRID, 0.1)
+    with pytest.raises(DomainError, match="must be finite"):
+        march_integral_equation(KERNEL, GridFn(GRID, 0.1 * nan_at_3), 1.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        march_integral_equation(KERNEL, x, 1.0, GridFn(GRID, 0.1 * nan_at_3))
+    with pytest.raises(DomainError, match="must be finite"):
+        march_integral_equation(KERNEL, x, math.nan)
+
+
+@pytest.mark.parametrize("field", ["w", "v", "x"])
+def test_comparison_rejects_nonfinite_input(field):
+    x = GridFn.constant(GRID, 0.1)
+    w = march_integral_equation(KERNEL, x, 1.0)
+    bad = w.values.copy()
+    bad[3] = np.nan
+    fields = dict(w=w, v=w, x=x)
+    fields[field] = GridFn(GRID, bad)
+    with pytest.raises(DomainError, match="must be finite"):
+        ComparisonInput(alpha=ALPHA, a_index=0, **fields)
+
+
 def test_worst_excess_propagates_nan():
     assert _worst_excess(np.array([-1.0, -2.0])) == 0.0
     assert _worst_excess(np.array([-1.0, 0.5])) == 0.5
@@ -417,6 +441,14 @@ def test_dependence_rejects_bad_lipschitz():
     with pytest.raises(DomainError):
         dependence_experiment(
             GRID, 0, ALPHA, gamma=1.0, beta=0.5, rhs=lambda t, y: y, lipschitz=1.0
+        )
+
+
+@pytest.mark.parametrize("a_index", [-1, GRID.count])
+def test_dependence_rejects_bad_lower_limit(a_index):
+    with pytest.raises(DomainError, match="a_index"):
+        dependence_experiment(
+            GRID, a_index, ALPHA, gamma=1.0, beta=0.5, rhs=lambda t, y: y, lipschitz=0.5
         )
 
 

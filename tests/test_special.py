@@ -1,12 +1,23 @@
 """Tests for the q-Mittag-Leffler functions and q-exponentials."""
 import math
+from itertools import count
 
 import pytest
+from mpmath import mpf
 
-from qfrac.errors import DivergenceError, DomainError, NonConvergenceError, PoleError, QFracError
-from qfrac.qcore import gamma_q, make_grid
+from qfrac.errors import (
+    DivergenceError,
+    DomainError,
+    NonConvergenceError,
+    PoleError,
+    QFracError,
+    RangeError,
+)
+from qfrac.qcore import DEFAULT_TOL, Tolerance, gamma_q, make_grid
 from qfrac.special import (
     MLSpec,
+    _q_exp_small_with_terms,
+    _sum_until_small,
     convergence_ratio_estimate,
     mittag_leffler,
     mittag_leffler_modified,
@@ -132,6 +143,40 @@ def test_ml_series_continues_past_lambda_power_overflow(lam):
     assert res.value == pytest.approx(q_exp_small(lam * t, Q), rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1.0, 1.3, 1.38])
+def test_ml_series_meets_tolerance_with_ratio_near_one(lam):
+    # term ratio 0.71-0.98 while the terms are finite floats: the omitted
+    # tail, about term * r / (1 - r), must stay within rel_tol as well
+    res = mittag_leffler(MLSpec(0.5, 1.0, lam), 1.0, Q)
+    want = ref_ml_from_zero(0.5, 1.0, lam, 1.0, Q, terms=2500)
+    assert res.value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+# ------------------------------------------------------------- stopping rule
+
+def test_stopping_rule_sums_a_slow_geometric_series():
+    # ratio 0.9: a bar of thr alone would stop ~9 thr short of the sum
+    terms, ratio = _sum_until_small((0.9 ** k for k in count()), DEFAULT_TOL, "geometric")
+    assert math.fsum(terms) == pytest.approx(10.0, rel=1e-12, abs=0.0)
+    assert ratio == pytest.approx(0.9)
+
+
+def test_stopping_rule_refuses_growing_terms():
+    with pytest.raises(DivergenceError, match="geometric terms grew"):
+        _sum_until_small((2.0 ** k for k in count()), Tolerance(max_terms=50), "geometric")
+
+
+def test_stopping_rule_refuses_an_overflowing_sum():
+    with pytest.raises(RangeError, match="big sum leaves the float range"):
+        _sum_until_small((1e308 * 0.5 ** k for k in count()), DEFAULT_TOL, "big")
+
+
+def test_stopping_rule_refuses_a_slow_tail():
+    # harmonic terms shrink but never meet the bar: no partial sum
+    with pytest.raises(NonConvergenceError, match="harmonic did not meet tolerance within 500"):
+        _sum_until_small((1.0 / (k + 1) for k in count()), Tolerance(max_terms=500), "harmonic")
+
+
 # --------------------------------------------------- mittag_leffler_modified
 
 def test_ml_modified_equals_plain_at_beta_one():
@@ -176,15 +221,46 @@ def test_q_exp_small_values():
     assert q_exp_small(1.0, Q) == pytest.approx(float(ref_eq_small(1.0, Q)), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "t, q", [(1.0, 0.5), (1.9, 0.5), (-19.0, 0.95), (-12.0, 0.95), (1.0, 0.95), (1.9, 0.95)]
+)
+def test_q_exp_small_matches_product_reference(t, q):
+    # e_q(t) = E_q((1-q) t); for t < 0 the series sum t**k / [k]_q! cancels
+    # (at t = -19, q = 0.95 its float sum is 309 times too large)
+    want = ref_Eq_product((1 - mpf(q)) * mpf(t), q, factors=1500)
+    assert q_exp_small(t, q) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_q_exp_small_divergence():
-    with pytest.raises(DivergenceError):
-        q_exp_small(2.0, Q)  # |t| (1-q) = 1
+    for t in (2.0, -19.0, -12.0):
+        with pytest.raises(DivergenceError):
+            q_exp_small(t, Q)  # |t| (1-q) >= 1
 
 
 def test_q_exp_identity():
-    # e_q(t) = E_q((1-q) t)
-    for t in (0.2, 1.0, 1.9):
+    # e_q(t) = E_q((1-q) t): the product evaluation against the 50-digit
+    # series sum_k t**k / Gamma_q(k + 1), and against q_exp_big itself
+    for t in (0.2, 1.0, 1.9, -1.0, -1.9):
+        want = float(ref_ml_from_zero(1, 1, 1, t, Q, terms=800))
+        assert q_exp_small(t, Q) == pytest.approx(want, rel=1e-13, abs=0.0)
         assert q_exp_small(t, Q) == pytest.approx(q_exp_big((1 - Q) * t, Q), rel=1e-11)
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0, 30.0, -30.0])
+def test_q_exp_small_near_q_one_sums_the_series(t):
+    # at q = 0.999 the product needs ~36,000 factors, past max_terms; the
+    # series of positive terms (for t < 0, of 1 / e_q(t)) takes over
+    want = float(ref_ml_from_zero(1, 1, 1, t, 0.999, terms=250))
+    value, terms = _q_exp_small_with_terms(t, 0.999, DEFAULT_TOL)
+    assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert terms < 100
+
+
+def test_q_exp_small_past_float_range():
+    # e_q(900) at q = 0.999 is about 5e564, and e_q(-900) about 2e-327
+    for t in (900.0, -900.0):
+        with pytest.raises(RangeError, match="e_q series sum leaves the float range"):
+            q_exp_small(t, 0.999)
 
 
 def test_q_exp_big_values():
