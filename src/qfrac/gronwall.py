@@ -35,7 +35,7 @@ DIVERGENCE_LIMIT = 1e100
 
 def _worst_excess(excess: np.ndarray) -> float:
     """Largest positive entry, 0 when there is none; NaN propagates."""
-    worst = float(np.max(excess))
+    worst = float(excess.max())
     return 0.0 if worst <= 0.0 else worst
 
 
@@ -75,7 +75,7 @@ class GronwallInput:
             raise DomainError(f"a_index {self.a_index} outside grid")
         if not (np.isfinite(self.v.values).all() and np.isfinite(self.mu.values).all()):
             raise DomainError("v and mu must be finite")
-        if np.any(self.mu.values < 0.0):
+        if (self.mu.values < 0.0).any():
             raise DomainError("coefficient mu must be nonnegative")
 
 
@@ -104,7 +104,7 @@ def _linear_rows(
     def row(i: int, known: float, d: float) -> tuple[float, float]:
         den = 1.0 - d * c[i]
         if den <= 0.0:
-            diag = kernel.diagonal.tolist()
+            _, diag = kernel.rows
             bad = [j for j in range(i, len(c)) if 1.0 - diag[j] * c[j] <= 0.0]
             raise PreconditionError(
                 f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
@@ -161,7 +161,7 @@ def gronwall_bound(
     satisfied[inp.a_index :] = inp.v.values[inp.a_index :] <= bound_vals[inp.a_index :]
     excess = inp.v.values[inp.a_index :] - bound_vals[inp.a_index :]
     return BoundResult(
-        bound=GridFn(grid, bound_vals),
+        bound=GridFn._owned(grid, bound_vals),
         terms_used=grid.count - inp.a_index - 1,
         satisfied=satisfied,
         max_violation=_worst_excess(excess),
@@ -227,10 +227,8 @@ def verify_comparison(
     v_a = float(inp.v.values[inp.a_index])
     omega_w = omega_apply(op, inp.w).values
     omega_v = omega_apply(op, inp.v).values
-    holds_super = bool(
-        np.all(inp.w.values[sl] >= w_a + omega_w[sl] - HYPOTHESIS_TOL)
-    )
-    holds_sub = bool(np.all(inp.v.values[sl] <= v_a + omega_v[sl] + HYPOTHESIS_TOL))
+    holds_super = bool((inp.w.values[sl] >= w_a + omega_w[sl] - HYPOTHESIS_TOL).all())
+    holds_sub = bool((inp.v.values[sl] <= v_a + omega_v[sl] + HYPOTHESIS_TOL).all())
     holds_admissible = bool(check_sart(inp.x, inp.alpha, strict=False).all())
     holds_initial = bool(w_a >= v_a)
     checked = holds_super and holds_sub and holds_admissible and holds_initial
@@ -270,7 +268,7 @@ def march_integral_equation(
     finite = math.isfinite(y_a) and np.isfinite(coeff.values).all()
     if not (finite and (slack_values is None or np.isfinite(slack_values).all())):
         raise DomainError("coefficient, slack and y_a must be finite")
-    return GridFn(kernel.grid, _linear_rows(kernel, coeff.values, y_a, slack_values))
+    return GridFn._owned(kernel.grid, _linear_rows(kernel, coeff.values, y_a, slack_values))
 
 
 def q_gronwall_classical(
@@ -295,7 +293,7 @@ def q_gronwall_classical(
     inp = GronwallInput(v=v, mu=delta, alpha=FracOrder(1.0), a_index=a_index)
     result = gronwall_bound(inp, tol)
     lam = float(delta.values[0])
-    if np.all(delta.values == lam):
+    if (delta.values == lam).all():
         v_a = float(v.values[a_index])
         ml = _ml_per_point(grid, a_index, 1.0, lam, tol)
         for i in range(a_index, grid.count):
@@ -345,8 +343,8 @@ def _ml_bound_factor(
     out = np.array(_ml_per_point(grid, a_index, alpha.alpha, lam, tol))
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
-    mismatch = np.max(np.abs(series[a_index:] - out[a_index:]))
-    if mismatch > 1000.0 * (tol.abs_tol + tol.rel_tol * float(np.max(np.abs(out)))):
+    mismatch = np.abs(series[a_index:] - out[a_index:]).max()
+    if mismatch > 1000.0 * (tol.abs_tol + tol.rel_tol * float(np.abs(out).max())):
         raise QFracError(
             f"operator series and Mittag-Leffler bound factor disagree by {mismatch!r}"
         )
@@ -406,7 +404,7 @@ def dependence_experiment(
         g_n = gamma + 10.0 ** (-n)
         phi_n = solve(g_n)
         gammas.append(g_n)
-        sups.append(float(np.max(np.abs(phi.values[sl] - phi_n.values[sl]))))
+        sups.append(float(np.abs(phi.values[sl] - phi_n.values[sl]).max()))
         bounds.append(abs(gamma - g_n) * factor_last)
     monotone = all(sups[i + 1] <= sups[i] for i in range(len(sups) - 1))
     within = all(s <= b + bound_slack for s, b in zip(sups, bounds))

@@ -11,7 +11,7 @@ are kept in a small cache, since the matrices are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import math
 
@@ -87,6 +87,14 @@ class OperatorKernel:
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.weights)
 
+    @cached_property
+    def rows(self) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+        """(history, diag): history[i] is the view weights[i, :i] and diag[i]
+        the Python float weights[i, i].  Built once per kernel, for the row
+        loop of :func:`qfrac.solver.forward_substitution`."""
+        w = self.weights
+        return tuple(w[i, :i] for i in range(len(w))), tuple(self.diagonal.tolist())
+
 
 #: kernels kept by :func:`build_kernel`; 8 dense kernels at 128 points take 1 MB.
 KERNEL_CACHE_SIZE = 8
@@ -127,7 +135,7 @@ def fractional_integral(f: GridFn, kernel: OperatorKernel) -> GridFn:
         raise GridMismatchError("function and kernel live on different grids")
     vals = np.array(f.values)
     vals[: kernel.a_index + 1] = 0.0  # zero-weight columns; keeps NaN markers inert
-    return GridFn(f.grid, kernel.weights @ vals)
+    return GridFn._owned(f.grid, kernel.weights @ vals)
 
 
 def caputo_derivative(
@@ -145,7 +153,7 @@ def caputo_derivative(
         vals = np.array(f.values)
         for _ in range(n):
             vals = _nabla_values(grid, vals)
-        return GridFn(grid, vals)
+        return GridFn._owned(grid, vals)
     if grid.count <= n:
         raise BoundaryError(f"grid too short for {n} difference levels")
     if a_index < n - 1:
@@ -157,7 +165,7 @@ def caputo_derivative(
         vals = _nabla_values(grid, vals)
     vals[:n] = 0.0  # undefined head, never weighted because a_index >= n - 1
     kernel = build_kernel(grid, a_index, FracOrder(n - alpha.alpha), tol)
-    return fractional_integral(GridFn(grid, vals), kernel)
+    return fractional_integral(GridFn._owned(grid, vals), kernel)
 
 
 def caputo_inverse_identity_check(
@@ -205,7 +213,7 @@ class OmegaOp:
 def omega_apply(op: OmegaOp, phi: GridFn) -> GridFn:
     if phi.grid != op.kernel.grid:
         raise GridMismatchError("phi and kernel live on different grids")
-    return fractional_integral(GridFn(phi.grid, op.x.values * phi.values), op.kernel)
+    return fractional_integral(GridFn._owned(phi.grid, op.x.values * phi.values), op.kernel)
 
 
 def omega_power_one_closed(
@@ -223,10 +231,10 @@ def omega_power_one_closed(
     if not 0 <= a_index < grid.count:
         raise BoundaryError(f"a_index {a_index} outside grid")
     if n == 0:
-        return GridFn(grid, np.ones(grid.count))
+        return GridFn._owned(grid, np.ones(grid.count))
     a = grid.points[a_index]
     g = gamma_q(n * alpha.alpha + 1.0, grid.q, tol)
     vals = np.zeros(grid.count)
     for i in range(a_index, grid.count):
         vals[i] = lam ** n * q_factorial_power(grid.points[i], a, n * alpha.alpha, grid.q, tol) / g
-    return GridFn(grid, vals)
+    return GridFn._owned(grid, vals)

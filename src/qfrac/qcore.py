@@ -111,14 +111,28 @@ def make_grid(q: float, n_start: int, count: int) -> QGrid:
     return QGrid(q=float(q), n_start=int(n_start), points=tuple(pts))
 
 
+def _seal(grid: QGrid, vals: np.ndarray, nan_ok: bool) -> np.ndarray:
+    """vals, made read-only, once it has one entry per grid point and no
+    infinity, nor NaN unless ``nan_ok``."""
+    import numpy as np
+
+    if vals.shape != (grid.count,):
+        raise GridMismatchError(f"expected {grid.count} values, got shape {vals.shape}")
+    if np.isinf(vals).any() if nan_ok else not np.isfinite(vals).all():
+        raise DomainError("grid function values must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFn:
     """A real-valued function sampled on a :class:`QGrid`.
 
-    Values are stored as a read-only float array and must be free of
-    infinities.  NaN is reserved as the marker for boundary points where an
-    integer-order difference has no predecessor chain; ordinary data should
-    be fully finite.
+    Values are stored as a read-only float array.  The constructor copies
+    them and rejects NaN and infinities.  Arrays the package has just
+    computed enter through :meth:`_owned` instead, which keeps the array
+    and admits NaN, the marker for boundary points where an integer-order
+    difference has no predecessor chain.
     """
 
     grid: QGrid
@@ -128,14 +142,20 @@ class GridFn:
         import numpy as np
 
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.count,):
-            raise GridMismatchError(
-                f"expected {self.grid.count} values, got shape {vals.shape}"
-            )
-        if np.isinf(vals).any():
-            raise DomainError("grid function values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _seal(self.grid, vals, nan_ok=False))
+
+    @classmethod
+    def _owned(cls, grid: QGrid, values: np.ndarray) -> "GridFn":
+        """Wrap a float array that the caller has just made and hands over.
+
+        The shape and infinity checks of the constructor apply, but the
+        array is not copied: it becomes read-only and is the result's own,
+        so the caller must not keep writing to it.  NaN passes.
+        """
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "grid", grid)
+        object.__setattr__(fn, "values", _seal(grid, values, nan_ok=True))
+        return fn
 
     @classmethod
     def from_callable(cls, grid: QGrid, fn) -> "GridFn":

@@ -172,8 +172,8 @@ def solve_linear_closed(
                     parts.append(tj * kern * ml * fj)
             acc = (1.0 - q) * math.fsum(parts)
         y[i] = p.y0 * hom + acc
-    sol = GridFn(grid, y)
-    residual = float(np.max(linear_defect(p, sol, tol)))
+    sol = GridFn._owned(grid, y)
+    residual = float(linear_defect(p, sol, tol).max())
     method = "closed-modified" if via_modified_ml else "closed"
     return SolveReport(sol, iterations=0, residual=residual, method=method)
 
@@ -183,7 +183,7 @@ def linear_picard_step(p: LinearIVP, kernel: OperatorKernel, y: GridFn) -> GridF
     out = p.y0 + p.lam * fractional_integral(y, kernel).values \
         + fractional_integral(p.forcing, kernel).values
     out[: p.a_index] = p.y0
-    return GridFn(p.grid, out)
+    return GridFn._owned(p.grid, out)
 
 
 def solve_linear_iterative(
@@ -197,11 +197,11 @@ def solve_linear_iterative(
     last_delta = math.inf
     for m in range(1, max_iter + 1):
         y_next = linear_picard_step(p, kernel, y)
-        last_delta = float(np.max(np.abs(y_next.values - y.values)))
+        last_delta = float(np.abs(y_next.values - y.values).max())
         y = y_next
-        scale = float(np.max(np.abs(y.values)))
+        scale = float(np.abs(y.values).max())
         if last_delta <= tol.abs_tol + tol.rel_tol * scale:
-            residual = float(np.max(linear_defect(p, y, tol, kernel)))
+            residual = float(linear_defect(p, y, tol, kernel).max())
             return SolveReport(y, iterations=m, residual=residual, method="iterative")
     raise NonConvergenceError(
         f"successive approximation missed tolerance after {max_iter} iterations",
@@ -225,16 +225,16 @@ def forward_substitution(
 
     ``known`` and ``W[i, i]`` reach the hook as Python floats, so a hook that
     stays on Python floats pays no numpy-scalar overhead; only the history
-    dot product runs in numpy.
+    dot product runs in numpy, on the row views the kernel built once
+    (:attr:`OperatorKernel.rows`).
     """
     a_index = kernel.a_index
-    w = kernel.weights
-    diag = kernel.diagonal.tolist()
+    history, diag = kernel.rows
     base = float(base)
     y = [base] * (a_index + 1)
     g = np.zeros(kernel.grid.count)
     for i in range(a_index + 1, kernel.grid.count):
-        known = base + float(w[i, :i] @ g[:i])
+        known = base + float(history[i].dot(g[:i]))
         y_i, g[i] = row(i, known, diag[i])
         y.append(y_i)
     return np.array(y, dtype=float)
@@ -254,7 +254,7 @@ def solve_marching(
     numpy scalars would have given inf; the error propagates.
     """
     kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
-    diag = kernel.diagonal.tolist()
+    _, diag = kernel.rows
     bad = [
         i
         for i in range(p.a_index + 1, p.grid.count)
@@ -299,6 +299,6 @@ def solve_marching(
             last_delta=prev,
         )
 
-    sol = GridFn(p.grid, forward_substitution(kernel, p.y0, step))
-    residual = float(np.max(nonlinear_defect(p, sol, tol, kernel)))
+    sol = GridFn._owned(p.grid, forward_substitution(kernel, p.y0, step))
+    residual = float(nonlinear_defect(p, sol, tol, kernel).max())
     return SolveReport(sol, iterations=inner_total, residual=residual, method="marching")

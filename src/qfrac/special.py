@@ -7,8 +7,8 @@ Evaluations outside the convergence region (term-ratio estimate >= 1) raise
 a structured divergence error up front.  That criterion,
 |lam| t**alpha (1-q)**alpha < 1, is artifact policy extrapolated from the
 measurable asymptotic term ratio.  E_q(t) is a product, and e_q(t) is
-evaluated as E_q((1 - q) t), or by a series of positive terms where that
-product is too long, so neither cancels for t < 0.
+evaluated as E_q((1 - q) t); where that product is too long, both are
+summed as a series of positive terms instead, so neither cancels for t < 0.
 """
 from __future__ import annotations
 
@@ -278,10 +278,8 @@ def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Evaluated as E_q((1 - q) t) (Gasper & Rahman, Basic Hypergeometric
     Series, 1.3), whose product has only positive factors for t < 0, where
-    the series above cancels.  Where that product needs more than
-    tol.max_terms factors (q above about 0.9964 by default), the series is
-    summed instead, for t < 0 as 1 / sum_k q**(k(k-1)/2) |t|**k / [k]_q!
-    (their (1.3.15)), whose terms are positive too.
+    the series above cancels.  Where that product is too long, the series
+    is summed instead, as :func:`q_exp_big` describes.
     """
     return _q_exp_small_with_terms(t, q, tol)[0]
 
@@ -294,13 +292,7 @@ def _q_exp_small_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, 
         raise DivergenceError(
             f"e_q series needs |t|(1-q) < 1, got {ratio_limit:.6g}", ratio=ratio_limit
         )
-    try:
-        return _q_exp_big_with_terms((1.0 - q) * t, q, tol)
-    except NonConvergenceError:  # a product longer than max_terms
-        pass
-    terms, _ = _sum_until_small(_q_exp_small_terms(abs(t), q, t < 0.0), tol, "e_q series")
-    total = math.fsum(terms)
-    return (1.0 / total if t < 0.0 else total), len(terms)
+    return _q_exp_with_terms((1.0 - q) * t, t, q, tol, "e_q series")
 
 
 def _q_exp_small_terms(t: float, q: float, damped: bool) -> Iterator[float]:
@@ -317,13 +309,46 @@ def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """E_q(t) = prod_n (1 - q**n t)^(-1), with poles at t = q**(-n).
 
     The product is the primary evaluation; for |t| < 1 the power series
-    sum_n t**n / (q)_n is summed as well and the two must agree.
+    sum_n t**n / (q)_n is summed as well and the two must agree.  Where the
+    product needs more than tol.max_terms factors (q above about 0.9964 by
+    default) and |t| < 1, the series is summed instead, for t < 0 as
+    1 / sum_n q**(n(n-1)/2) |t|**n / (q)_n (Gasper & Rahman (1.3.15)), whose
+    terms are positive too.  For |t| >= 1 the NonConvergenceError stands.
     """
     return _q_exp_big_with_terms(t, q, tol)[0]
 
 
 def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
+    """(E_q(t), factors of its product used, or series terms summed)."""
     _check_q(q)
+    return _q_exp_with_terms(t, t / (1.0 - q), q, tol, "E_q series")
+
+
+def _q_exp_with_terms(
+    x: float, t: float, q: float, tol: Tolerance, label: str
+) -> tuple[float, int]:
+    """(E_q(x) = e_q(t), factors used or terms summed) for x = (1 - q) t.
+
+    The product in x; or, where it or its cross-check series would need
+    more than tol.max_terms terms and |x| < 1, the series in t:
+    sum_k t**k / [k]_q! for t > 0, and the reciprocal of the positive-term
+    sum_k q**(k(k-1)/2) |t|**k / [k]_q! for t < 0.  Callers pass both
+    variables, the one they were given unrounded; ``label`` names the
+    series in its errors.
+    """
+    try:
+        return _q_exp_product(x, q, tol)
+    except NonConvergenceError:  # the product or its check is past max_terms
+        if abs(x) >= 1.0:
+            raise
+    terms, _ = _sum_until_small(_q_exp_small_terms(abs(t), q, t < 0.0), tol, label)
+    total = math.fsum(terms)
+    return (1.0 / total if t < 0.0 else total), len(terms)
+
+
+def _q_exp_product(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
+    """(E_q(t) from its product, factors used), cross-checked against the
+    series for |t| <= 0.9."""
     if t == 0.0:
         return 1.0, 0
     extra = math.ceil(math.log(abs(t)) / math.log(1.0 / q)) if abs(t) > 1.0 else 0

@@ -13,7 +13,6 @@ independent of execution order.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -38,7 +37,6 @@ from .qcore import (
     gamma_q,
     make_grid,
     q_bracket,
-    q_factorial_power,
 )
 from .solver import (
     LinearIVP,
@@ -48,6 +46,7 @@ from .solver import (
     solve_linear_iterative,
     solve_marching,
 )
+from .special import _SeriesMemo
 
 _TINY = 1e-300
 
@@ -67,15 +66,18 @@ def _record(errors: dict[str, float], key: str, err: float) -> float:
 
 def suite_lemma1(seed: int, cases: int | None = None):
     """Factorial-power identities: exponent addition, scaling, and the two
-    one-sided derivative rules, each at 1e-10 relative error."""
-    # each distinct power is evaluated once per call; the cache dies with it
-    qfp = lru_cache(maxsize=None)(q_factorial_power)
+    one-sided derivative rules, each at 1e-10 relative error.
+
+    The powers of one q share a :class:`qfrac.special._SeriesMemo`, made per
+    call: each distinct product factor is evaluated once per call, and the
+    values are the floats of :func:`qfrac.qcore.q_factorial_power`."""
     pair_count = cases or 20
     exps = (0.25, 0.5, 1.3)
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     for qi, q in enumerate((0.3, 0.5, 0.9)):
+        qfp = _SeriesMemo(q, DEFAULT_TOL).power
         grid = make_grid(q, 6, 8)
         pts = grid.points
         for c in range(pair_count):
@@ -85,8 +87,8 @@ def suite_lemma1(seed: int, cases: int | None = None):
             t, s = pts[i], pts[j]
             n_cases += 1
             for beta, gam in product(exps, exps):
-                lhs = qfp(t, s, beta + gam, q)
-                rhs = qfp(t, s, beta, q) * qfp(t, q ** beta * s, gam, q)
+                lhs = qfp(t, s, beta + gam)
+                rhs = qfp(t, s, beta) * qfp(t, q ** beta * s, gam)
                 err = _record(errors, "I", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(
@@ -94,8 +96,8 @@ def suite_lemma1(seed: int, cases: int | None = None):
                     )
             for a_scale in (q, 1.0 / q, 2.0):
                 for beta in exps:
-                    lhs = qfp(a_scale * t, a_scale * s, beta, q)
-                    rhs = a_scale ** beta * qfp(t, s, beta, q)
+                    lhs = qfp(a_scale * t, a_scale * s, beta)
+                    rhs = a_scale ** beta * qfp(t, s, beta)
                     err = _record(errors, "II", _rel_err(lhs, rhs))
                     if err > 1e-10:
                         failures.append(
@@ -103,14 +105,14 @@ def suite_lemma1(seed: int, cases: int | None = None):
                         )
             for al in exps:
                 # derivative in t: needs s below the predecessor point
-                lhs = (qfp(t, s, al, q) - qfp(q * t, s, al, q)) / ((1.0 - q) * t)
-                rhs = q_bracket(al, q) * qfp(t, s, al - 1.0, q)
+                lhs = (qfp(t, s, al) - qfp(q * t, s, al)) / ((1.0 - q) * t)
+                rhs = q_bracket(al, q) * qfp(t, s, al - 1.0)
                 err = _record(errors, "III", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(f"lemma1/III q={q} alpha={al}: {err:.3e}")
                 # derivative in s
-                lhs = (qfp(t, s, al, q) - qfp(t, q * s, al, q)) / ((1.0 - q) * s)
-                rhs = -q_bracket(al, q) * qfp(t, q * s, al - 1.0, q)
+                lhs = (qfp(t, s, al) - qfp(t, q * s, al)) / ((1.0 - q) * s)
+                rhs = -q_bracket(al, q) * qfp(t, q * s, al - 1.0)
                 err = _record(errors, "IV", _rel_err(lhs, rhs))
                 if err > 1e-10:
                     failures.append(f"lemma1/IV q={q} alpha={al}: {err:.3e}")
@@ -144,12 +146,13 @@ def suite_gamma(seed: int, cases: int | None = None):
 
 
 def suite_powerrule(seed: int, cases: int | None = None):
-    """Fractional integral of (x - a)_q^mu against its closed form, 1e-8."""
-    qfp = lru_cache(maxsize=None)(q_factorial_power)  # per call, as in lemma1
+    """Fractional integral of (x - a)_q^mu against its closed form, 1e-8;
+    the powers share one product memo per q, as in :func:`suite_lemma1`."""
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     for q in (0.3, 0.5, 0.9):
+        qfp = _SeriesMemo(q, DEFAULT_TOL).power
         grid = make_grid(q, 11, 12)
         a = grid.points[0]
         for mu, al in product((0.0, 0.5, 1.0, 2.3), (0.25, 0.5, 0.9)):
@@ -157,12 +160,12 @@ def suite_powerrule(seed: int, cases: int | None = None):
             kernel = build_kernel(grid, 0, FracOrder(al))
             fvals = np.zeros(grid.count)
             for i in range(grid.count):
-                fvals[i] = qfp(grid.points[i], a, mu, q)
+                fvals[i] = qfp(grid.points[i], a, mu)
             got = fractional_integral(GridFn(grid, fvals), kernel).values
             coeff = gamma_q(mu + 1.0, q) / gamma_q(al + mu + 1.0, q)
             worst = 0.0
             for i in range(1, grid.count):
-                want = coeff * qfp(grid.points[i], a, mu + al, q)
+                want = coeff * qfp(grid.points[i], a, mu + al)
                 worst = max(worst, _rel_err(got[i], want))
             _record(errors, "powerrule", worst)
             if worst > 1e-8:
@@ -250,7 +253,7 @@ def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> Grid
         y_i = (known - min(slack[i], known)) / (1.0 - d * c[i])
         return y_i, c[i] * y_i
 
-    return GridFn(kernel.grid, forward_substitution(kernel, v_a, row))
+    return GridFn._owned(kernel.grid, forward_substitution(kernel, v_a, row))
 
 
 def suite_gronwall(seed: int, cases: int | None = None):

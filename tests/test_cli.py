@@ -66,6 +66,19 @@ def test_eval_eq_near_q_one(runner):
     assert value == pytest.approx(2.718962126489267, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("t, want", [
+    # 50-digit references: the series at t > 0, the product at t < 0
+    ("0.5", 7.7258448945048501070663571703603492815311469378499e252),
+    ("-0.5", 1.8429551710145262939631080958843248883380743916267e-195),
+])
+def test_eval_Eq_near_q_one(runner, t, want):
+    # the product needs 36,026 factors, past max_terms: the series takes over
+    res = invoke(runner, "eval", "Eq", "--t", t, "--q", "0.999")
+    assert res.exit_code == 0, res.output
+    value = float(res.output.strip().split("\n")[1].split(",")[1])
+    assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_eval_json_format(runner):
     res = invoke(runner, "eval", "eq", "--q", "0.5", "--t", "1", "--format", "json")
     payload = json.loads(res.output)

@@ -283,6 +283,43 @@ def test_gridfn_validation():
         f.values[0] = 5.0  # read-only
 
 
+@pytest.mark.parametrize("make", [
+    lambda g: GridFn(g, np.array([1.0, np.nan, 0.0, 0.0])),
+    lambda g: GridFn(g, [1.0, 2.0, 3.0, -np.inf]),
+    lambda g: GridFn.constant(g, np.nan),
+    lambda g: GridFn.from_callable(g, lambda t: np.nan if t == 1.0 else t),
+])
+def test_gridfn_rejects_nonfinite_user_data(make):
+    # user data may hold neither NaN nor infinities; only the package's own
+    # arrays (GridFn._owned) may carry the integer-order Caputo marker
+    with pytest.raises(DomainError, match="must be finite"):
+        make(make_grid(0.5, 3, 4))
+
+
+def test_gridfn_constructor_copies():
+    g = make_grid(0.5, 3, 4)
+    data = np.arange(4.0)
+    f = GridFn(g, data)
+    assert not np.shares_memory(f.values, data)
+    data[0] = 7.0
+    assert f.values[0] == 0.0
+    assert data.flags.writeable  # the caller's array is left as it was
+
+
+def test_gridfn_owned_keeps_the_array():
+    # the internal path for arrays the package has just computed: no copy,
+    # read-only, NaN admitted (integer-order Caputo marker), shape and
+    # infinities still checked
+    g = make_grid(0.5, 3, 4)
+    data = np.array([np.nan, 1.0, 2.0, 3.0])
+    f = GridFn._owned(g, data)
+    assert f.values is data and not data.flags.writeable
+    with pytest.raises(GridMismatchError):
+        GridFn._owned(g, np.ones(3))
+    with pytest.raises(DomainError, match="must be finite"):
+        GridFn._owned(g, np.array([0.0, np.inf, 0.0, 0.0]))
+
+
 def test_gridfn_constructors():
     g = make_grid(0.5, 3, 4)
     assert GridFn.constant(g, 2.0).values.tolist() == [2.0] * 4

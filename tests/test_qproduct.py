@@ -110,8 +110,10 @@ def test_capped_product_raises_instead_of_truncating():
         gamma_q(0.5, 0.999)
     with pytest.raises(NonConvergenceError):
         q_factorial_power(1.0, 0.5, 0.5, 0.999)
-    with pytest.raises(NonConvergenceError):
-        _q_exp_big_with_terms(0.5, 0.999, DEFAULT_TOL)
+    # E_q sums its series where |t| < 1 (test_special), so it is capped at |t| >= 1
+    for t in (1.5, -1.5):
+        with pytest.raises(NonConvergenceError):
+            _q_exp_big_with_terms(t, 0.999, DEFAULT_TOL)
     # a product whose factors reach eps/8 within the cap is not truncated
     small = 0.999 ** 30000
     assert q_factorial_power(1.0, small, 0.5, 0.999) == loop_q_factorial_power(

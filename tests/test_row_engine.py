@@ -4,14 +4,15 @@ Each row hook (marching's damped fixed point, the linear rows of the
 comparison factor and of the integral equations) must reproduce, bit for
 bit, the numpy-scalar rows kept in ``oracles``: the same solutions, inner
 iteration counts, residuals and bounds, and the same StepError when a
-march stalls.  The per-call q-factorial-power cache of the verify suites
-must leave their reports unchanged.
+march stalls.  The per-call product memo of the verify suites must leave
+their reports unchanged.
 """
 import math
 
 import numpy as np
 import pytest
 
+import qfrac.qcore as qcore
 import qfrac.verify as verify
 from qfrac.errors import DivergenceError, NonConvergenceError, PreconditionError, StepError
 from qfrac.gronwall import (
@@ -21,9 +22,23 @@ from qfrac.gronwall import (
     march_integral_equation,
     sart_bound,
 )
-from qfrac.operators import build_kernel
-from qfrac.qcore import DEFAULT_TOL, FracOrder, GridFn, make_grid
-from qfrac.solver import NonlinearIVP, solve_marching
+from qfrac.operators import (
+    OmegaOp,
+    OperatorKernel,
+    build_kernel,
+    caputo_derivative,
+    fractional_integral,
+    omega_apply,
+)
+from qfrac.qcore import DEFAULT_TOL, FracOrder, GridFn, make_grid, q_factorial_power
+from qfrac.solver import (
+    LinearIVP,
+    NonlinearIVP,
+    solve_linear_closed,
+    solve_linear_iterative,
+    solve_marching,
+)
+from qfrac.special import _SeriesMemo
 
 from oracles import (
     numpy_comparison_factor,
@@ -218,27 +233,130 @@ def test_divergence_is_reported_at_the_first_row_past_the_limit():
     )
 
 
+def test_row_views_are_built_once_per_kernel(monkeypatch):
+    grid = _window(0.5, 12)
+    kernel = build_kernel(grid, 2, FracOrder(0.5))
+    history, diag = kernel.rows
+    assert kernel.rows is kernel.rows
+    assert len(history) == grid.count
+    for i, row in enumerate(history):  # views into the weights, not copies
+        assert row.base is kernel.weights and not row.flags.writeable
+        assert row.tobytes() == kernel.weights[i, :i].tobytes()
+    assert all(type(d) is float for d in diag)
+    assert np.array(diag).tobytes() == kernel.diagonal.tobytes()
+
+    built = []
+    real = type(kernel).rows.func
+    monkeypatch.setattr(type(kernel).rows, "func", lambda k: built.append(k) or real(k))
+    order = FracOrder(0.4375)  # used by no other test, so not yet cached
+    fresh = build_kernel(grid, 3, order)
+    assert "rows" not in vars(fresh)
+    mu = GridFn.constant(grid, 0.3)
+    for _ in range(3):
+        march_integral_equation(fresh, mu, 1.0)
+        solve_marching(NonlinearIVP(grid=grid, alpha=order, a_index=3, y0=1.0,
+                                    rhs=lambda t, y: 0.3 * y, lipschitz=0.3))
+    assert built == [fresh]
+
+
+def test_hand_built_kernel_solves():
+    # OperatorKernel is public: a kernel made from a weight matrix, not by
+    # build_kernel, must solve as the built one does, bit for bit
+    grid = _window(0.5, 16)
+    built = build_kernel(grid, 1, FracOrder(0.6))
+    hand = OperatorKernel(grid=grid, a_index=1, alpha=FracOrder(0.6),
+                          weights=built.weights.tolist())
+    mu = GridFn(grid, 0.5 * sart_bound(grid, FracOrder(0.6)))
+    slack = GridFn(grid, np.linspace(0.0, 0.2, grid.count))
+    got = march_integral_equation(hand, mu, 1.5, slack).values
+    assert got.tobytes() == march_integral_equation(built, mu, 1.5, slack).values.tobytes()
+    assert got.tobytes() == numpy_march_integral_equation(
+        built, mu.values, 1.5, slack.values).tobytes()
+
+    # a 3-point kernel by hand: y = 1 + W diag(c) y has y1 = 1 / (1 - 0.5 c),
+    # y2 = (1 + 0.25 c y1) / (1 - 0.5 c)
+    small = make_grid(0.5, 2, 3)
+    w = [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.25, 0.5]]
+    kernel = OperatorKernel(grid=small, a_index=0, alpha=FracOrder(1.0), weights=w)
+    y = march_integral_equation(kernel, GridFn.constant(small, 1.0), 1.0).values
+    assert y.tolist() == [1.0, 2.0, (1.0 + 0.25 * 2.0) / 0.5]
+
+
+def _owned_results(grid, kernel, mu):
+    """(name, result GridFn, arrays it must not share memory with)."""
+    alpha = kernel.alpha
+    f = GridFn(grid, np.sin(grid.t))
+    yield "fractional_integral", fractional_integral(f, kernel), [f.values]
+    yield "omega_apply", omega_apply(OmegaOp(kernel=kernel, x=mu), f), [f.values, mu.values]
+    v = march_integral_equation(kernel, mu, 1.0)
+    yield "march_integral_equation", v, [mu.values]
+    bound = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0)).bound
+    yield "gronwall_bound", bound, [v.values, mu.values]
+    yield "_march_nonneg", verify._march_nonneg(kernel, mu, 1.0, np.zeros(grid.count)), [
+        mu.values]
+    forcing = GridFn(grid, grid.t)
+    linear = LinearIVP(alpha=alpha, lam=0.3, a_index=0, y0=1.0, forcing=forcing)
+    for solve in (solve_linear_closed, solve_linear_iterative):
+        yield solve.__name__, solve(linear).solution, [forcing.values, grid.t]
+    ivp = NonlinearIVP(grid=grid, alpha=alpha, a_index=0, y0=1.0,
+                       rhs=lambda t, y: 0.3 * y + t, lipschitz=0.3)
+    yield "solve_marching", solve_marching(ivp).solution, [grid.t]
+    yield "caputo_derivative", caputo_derivative(f, 0, FracOrder(1.0)), [f.values]
+
+
+def test_owned_results_are_read_only_and_unshared():
+    grid = _window(0.5, 12)
+    kernel = build_kernel(grid, 0, FracOrder(0.5))
+    mu = GridFn(grid, 0.5 * sart_bound(grid, FracOrder(0.5)))
+    names = []
+    for name, result, inputs in _owned_results(grid, kernel, mu):
+        names.append(name)
+        assert not result.values.flags.writeable, name
+        with pytest.raises(ValueError):
+            result.values[-1] = 0.0
+        for other in [*inputs, kernel.weights]:
+            assert not np.shares_memory(result.values, other), name
+    assert len(names) == 9
+
+
 @pytest.mark.parametrize("name", ["lemma1", "powerrule"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_suite_cache_leaves_reports_unchanged(monkeypatch, name, seed):
-    cached = verify.run_suite(name, seed)
-    # without the per-call cache the suite is the uncached original
-    monkeypatch.setattr(verify, "lru_cache", lambda maxsize=None: (lambda fn: fn))
-    assert verify.run_suite(name, seed) == cached
+    memoized = verify.run_suite(name, seed)
+
+    class Fresh:  # every power evaluated afresh, as without the memo
+        def __init__(self, q, tol):
+            self.power = lambda t, s, nu: q_factorial_power(t, s, nu, q, tol)
+
+    monkeypatch.setattr(verify, "_SeriesMemo", Fresh)
+    assert verify.run_suite(name, seed) == memoized
 
 
 def test_suite_cache_is_per_call(monkeypatch):
-    calls = []
+    evaluated = []  # product factors computed on behalf of the suite's memos
+    inside = []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    class Counting(_SeriesMemo):
+        def power(self, t, s, nu):
+            inside.append(True)
+            try:
+                return super().power(t, s, nu)
+            finally:
+                inside.pop()
 
-    real = verify.q_factorial_power
-    monkeypatch.setattr(verify, "q_factorial_power", counted)
-    verify.run_suite("powerrule", 1)
-    first = len(calls)
-    assert first > 0
-    assert first == len(set(calls))  # each distinct power evaluated once
-    verify.run_suite("powerrule", 1)
-    assert len(calls) == 2 * first  # nothing carried over between calls
+    def counted(r, nu, q, max_terms):
+        if inside:
+            evaluated.append((r, nu, q, max_terms))
+        return real(r, nu, q, max_terms)
+
+    real = qcore._product_factor
+    monkeypatch.setattr(qcore, "_product_factor", counted)
+    monkeypatch.setattr(verify, "_SeriesMemo", Counting)
+    for name in ("lemma1", "powerrule"):
+        evaluated.clear()
+        verify.run_suite(name, 1)
+        first = len(evaluated)
+        assert first > 0
+        assert first == len(set(evaluated))  # each distinct factor evaluated once
+        verify.run_suite(name, 1)
+        assert evaluated[first:] == evaluated[:first]  # nothing carried between calls

@@ -16,6 +16,7 @@ from qfrac.errors import (
 from qfrac.qcore import DEFAULT_TOL, Tolerance, gamma_q, make_grid
 from qfrac.special import (
     MLSpec,
+    _q_exp_big_with_terms,
     _q_exp_small_with_terms,
     _sum_until_small,
     convergence_ratio_estimate,
@@ -261,6 +262,29 @@ def test_q_exp_small_past_float_range():
     for t in (900.0, -900.0):
         with pytest.raises(RangeError, match="e_q series sum leaves the float range"):
             q_exp_small(t, 0.999)
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5])
+def test_q_exp_big_near_q_one_sums_the_series(t):
+    # at q = 0.999 the product needs 36,026 factors, past max_terms; for
+    # |t| < 1 the series (for t < 0, of 1 / E_q(t), positive terms) takes
+    # over.  The 50-digit reference for t > 0 is the series, exact in mpmath;
+    # for t < 0 that series cancels ~450 digits, so it is the product, whose
+    # omitted tail after 50,000 factors is below 1e-18 relative.
+    if t > 0:
+        want = ref_Eq_series(t, 0.999, terms=9000)
+    else:
+        want = ref_Eq_product(t, 0.999, factors=50_000)
+    value, terms = _q_exp_big_with_terms(t, 0.999, DEFAULT_TOL)
+    assert value == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert terms < 1000
+
+
+@pytest.mark.parametrize("t", [-1.0, 1.5, -1.5])
+def test_q_exp_big_near_q_one_refuses_past_the_series(t):
+    # |t| >= 1: no series fallback, the capped product still raises
+    with pytest.raises(NonConvergenceError, match="more than max_terms"):
+        q_exp_big(t, 0.999)
 
 
 def test_q_exp_big_values():
