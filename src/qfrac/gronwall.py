@@ -40,8 +40,19 @@ def _worst_excess(excess: np.ndarray) -> float:
 
 
 def sart_bound(grid: QGrid, alpha: FracOrder) -> np.ndarray:
-    """Admissibility ceiling 1 / (t**alpha (1-q)**alpha) at every grid point."""
+    """Admissibility ceiling 1 / (t**alpha (1-q)**alpha) at every grid point,
+    as a fresh array."""
     return 1.0 / (grid.t ** alpha.alpha * (1.0 - grid.q) ** alpha.alpha)
+
+
+def _ceiling(grid: QGrid, alpha: FracOrder) -> np.ndarray:
+    """:func:`sart_bound`, computed once per grid and order and read-only."""
+    ceiling = grid._ceilings.get(alpha.alpha)
+    if ceiling is None:
+        ceiling = sart_bound(grid, alpha)
+        ceiling.setflags(write=False)
+        grid._ceilings[alpha.alpha] = ceiling
+    return ceiling
 
 
 def check_sart(x: GridFn, alpha: FracOrder, strict: bool = False) -> np.ndarray:
@@ -51,7 +62,7 @@ def check_sart(x: GridFn, alpha: FracOrder, strict: bool = False) -> np.ndarray:
     1 - x(t) (1-q)**alpha t**alpha positive; the non-strict form is enough
     for the comparison argument.
     """
-    bound = sart_bound(x.grid, alpha)
+    bound = _ceiling(x.grid, alpha)
     if strict:
         return (x.values >= 0.0) & (x.values < bound)
     return (x.values >= 0.0) & (x.values <= bound)
@@ -73,9 +84,11 @@ class GronwallInput:
             raise DomainError("the bound is stated for orders in (0, 1]")
         if not 0 <= self.a_index < self.v.grid.count:
             raise DomainError(f"a_index {self.a_index} outside grid")
-        if not (np.isfinite(self.v.values).all() and np.isfinite(self.mu.values).all()):
+        finite = np.count_nonzero(np.isfinite(self.v.values))
+        finite += np.count_nonzero(np.isfinite(self.mu.values))
+        if finite != 2 * self.v.grid.count:
             raise DomainError("v and mu must be finite")
-        if (self.mu.values < 0.0).any():
+        if np.count_nonzero(self.mu.values < 0.0):
             raise DomainError("coefficient mu must be nonnegative")
 
 
@@ -135,7 +148,7 @@ def gronwall_bound(
     callers passing it keep working.
     """
     flags = check_sart(inp.mu, inp.alpha, strict=True)
-    if not bool(flags.all()):
+    if np.count_nonzero(flags) != flags.size:
         bad = tuple(int(i) for i in np.flatnonzero(~flags))
         raise PreconditionError(
             f"mu violates the strict admissibility ceiling at indices {list(bad)}",
@@ -157,8 +170,8 @@ def gronwall_bound(
     if abs(v_a) * u_max == math.inf:
         raise DivergenceError(f"bound v(a) * series overflows with v(a) = {v_a!r}")
     bound_vals = v_a * u
-    satisfied = np.ones(grid.count, dtype=bool)
-    satisfied[inp.a_index :] = inp.v.values[inp.a_index :] <= bound_vals[inp.a_index :]
+    satisfied = inp.v.values <= bound_vals
+    satisfied[: inp.a_index] = True
     excess = inp.v.values[inp.a_index :] - bound_vals[inp.a_index :]
     return BoundResult(
         bound=GridFn._owned(grid, bound_vals),

@@ -5,13 +5,16 @@ coefficient-weighted summation operator used by the comparison series.
 On a grid window the q-integral from the lower limit a to any point is an
 exact finite sum over the points in (a, t], so the fractional integral is
 materialized once per (grid, a, order) as a lower-triangular weight matrix;
-every later application is a triangular mat-vec.  The most recent kernels
-are kept in a small cache, since the matrices are read-only.
+every later application is a triangular mat-vec.  The most recently used
+kernels are kept in a cache bounded by the bytes they hold, since the
+matrices are read-only.
 """
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import math
 
@@ -96,8 +99,58 @@ class OperatorKernel:
         return tuple(w[i, :i] for i in range(len(w))), tuple(self.diagonal.tolist())
 
 
-#: kernels kept by :func:`build_kernel`; 8 dense kernels at 128 points take 1 MB.
-KERNEL_CACHE_SIZE = 8
+#: bytes of kernels kept by :func:`build_kernel`, counted by :func:`_kernel_bytes`.
+#: It holds the 16 kernels that one ``run_suite("all")`` uses (41 KiB), and
+#: about as many 12-32-point kernels as the 8-entry LRU it replaced (traced
+#: memory of a closed-form solve series equal; 128 KiB held 47 KB more).
+KERNEL_CACHE_BYTES = 64 * 1024
+
+#: bytes one row of :attr:`OperatorKernel.rows` holds: the view object and its
+#: diagonal float (tracemalloc, CPython 3.11 / numpy 2.4: 140 to 150 per row
+#: from 32 to 128 points).
+_ROW_BYTES = 144
+
+
+def _kernel_bytes(kernel: OperatorKernel) -> int:
+    """Bytes charged to a cached kernel: its weights plus its row views,
+    whether or not they are built yet."""
+    return kernel.weights.nbytes + len(kernel.weights) * _ROW_BYTES
+
+
+class _KernelCache:
+    """Least-recently-used kernels whose :func:`_kernel_bytes` sum to at most
+    ``budget``; the newest kernel is kept even when it alone exceeds it.
+
+    Safe for concurrent callers: lookups and inserts hold a lock, builds run
+    outside it, and when two callers build the same kernel at once the first
+    one inserted is returned to both.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._kernels: OrderedDict[tuple, OperatorKernel] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, grid: QGrid, a_index: int, al: float, tol: Tolerance) -> OperatorKernel:
+        key = (grid, a_index, al, tol)
+        with self._lock:
+            kernel = self._kernels.get(key)
+            if kernel is not None:
+                self._kernels.move_to_end(key)
+                return kernel
+        built = _build_kernel(grid, a_index, al, tol)
+        with self._lock:
+            kernel = self._kernels.setdefault(key, built)
+            self._kernels.move_to_end(key)
+            if kernel is built:
+                self.nbytes += _kernel_bytes(built)
+                while self.nbytes > self.budget and len(self._kernels) > 1:
+                    self.nbytes -= _kernel_bytes(self._kernels.popitem(last=False)[1])
+        return kernel
+
+
+_KERNEL_CACHE = _KernelCache(KERNEL_CACHE_BYTES)
 
 
 def build_kernel(
@@ -105,19 +158,16 @@ def build_kernel(
 ) -> OperatorKernel:
     """Materialize the left fractional integral of order alpha from points[a_index].
 
-    The last KERNEL_CACHE_SIZE kernels are reused for repeated
-    (grid, a_index, alpha, tol); a kernel's weights are read-only, so sharing
-    one between callers is safe.
+    Kernels of repeated (grid, a_index, alpha, tol) are reused from a cache
+    of the most recently used ones, bounded by KERNEL_CACHE_BYTES; a
+    kernel's weights are read-only, so sharing one between callers is safe.
     """
     if not 0 <= a_index < grid.count:
         raise BoundaryError(f"a_index {a_index} outside grid of {grid.count} points")
-    return _build_kernel_cached(grid, int(a_index), float(alpha.alpha), tol)
+    return _KERNEL_CACHE.get(grid, int(a_index), float(alpha.alpha), tol)
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _build_kernel_cached(
-    grid: QGrid, a_index: int, al: float, tol: Tolerance
-) -> OperatorKernel:
+def _build_kernel(grid: QGrid, a_index: int, al: float, tol: Tolerance) -> OperatorKernel:
     q = grid.q
     g = gamma_q(al, q, tol)
     w = np.zeros((grid.count, grid.count))
@@ -211,9 +261,16 @@ class OmegaOp:
 
 
 def omega_apply(op: OmegaOp, phi: GridFn) -> GridFn:
+    """The fractional integral of x * phi: the floats of
+    ``fractional_integral(GridFn._owned(grid, x * phi), kernel)``, and its
+    DomainError when x * phi overflows, without the intermediate GridFn."""
     if phi.grid != op.kernel.grid:
         raise GridMismatchError("phi and kernel live on different grids")
-    return fractional_integral(GridFn._owned(phi.grid, op.x.values * phi.values), op.kernel)
+    vals = op.x.values * phi.values
+    if np.count_nonzero(np.isinf(vals)):
+        raise DomainError("grid function values must be finite")
+    vals[: op.kernel.a_index + 1] = 0.0
+    return GridFn._owned(phi.grid, op.kernel.weights @ vals)
 
 
 def omega_power_one_closed(

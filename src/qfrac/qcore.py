@@ -93,6 +93,12 @@ class QGrid:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _ceilings(self) -> dict[float, np.ndarray]:
+        """Read-only admissibility ceilings by order, filled by
+        :mod:`qfrac.gronwall`: each is computed once per window and order."""
+        return {}
+
 
 def make_grid(q: float, n_start: int, count: int) -> QGrid:
     """Materialize the window q**n_start, q**(n_start-1), ... (count points)."""
@@ -118,7 +124,10 @@ def _seal(grid: QGrid, vals: np.ndarray, nan_ok: bool) -> np.ndarray:
 
     if vals.shape != (grid.count,):
         raise GridMismatchError(f"expected {grid.count} values, got shape {vals.shape}")
-    if np.isinf(vals).any() if nan_ok else not np.isfinite(vals).all():
+    # count_nonzero is one C call, where ndarray.all/any go through Python
+    if np.count_nonzero(np.isfinite(vals)) != vals.size and (
+        not nan_ok or np.count_nonzero(np.isinf(vals))
+    ):
         raise DomainError("grid function values must be finite")
     vals.setflags(write=False)
     return vals

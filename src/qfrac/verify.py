@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
 from .gronwall import (
     ComparisonInput,
     GronwallInput,
@@ -56,6 +57,14 @@ def _rel_err(got: float, want: float) -> float:
 
 
 def _rng(seed: int, suite_id: int, case: int) -> np.random.Generator:
+    """The generator of ``np.random.default_rng([seed, suite_id, case])``.
+
+    For a seed that fits one 32-bit word (suite ids and case indices stay
+    far below 2**32) the three go in as a uint32 array: SeedSequence takes
+    the same words, so the streams are the same, and skips converting a
+    list."""
+    if 0 <= seed < 2**32:
+        return np.random.default_rng(np.array((seed, suite_id, case), dtype=np.uint32))
     return np.random.default_rng([seed, suite_id, case])
 
 
@@ -409,12 +418,24 @@ _SUITES: dict[str, Callable] = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES) + ("all",)
 
 
 def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
-    """Run one suite (or ``all``) and return its JSON-ready report."""
+    """Run one suite (or ``all``) and return its JSON-ready report.
+
+    ``seed`` must be a nonnegative integer and ``cases``, when given, an
+    integer of at least 1; anything else raises DomainError before a suite
+    runs."""
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if cases is not None and (not _is_int(cases) or cases < 1):
+        raise DomainError(f"cases must be an integer of at least 1, got {cases!r}")
     if name == "all":
         total = 0
         failures: list[str] = []

@@ -358,6 +358,17 @@ def test_verify_unknown_suite_exit_3(runner):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args", [["--seed", "-1"], ["--cases", "0"], ["--cases", "-5"], ["--seed", "7", "--cases", "-2"]]
+)
+def test_verify_bad_seed_or_case_count_exit_2(runner, args):
+    res = runner.invoke(main, ["verify", "gronwall", *args])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"] == "DomainError"
+
+
 def test_verify_all_deterministic(runner):
     first = invoke(runner, "verify", "all", "--seed", "7", "--cases", "10")
     second = invoke(runner, "verify", "all", "--seed", "7", "--cases", "10")

@@ -1,13 +1,17 @@
 """Tests for the nabla derivative/integral, fractional integral kernel,
 Caputo derivative, and the coefficient-weighted summation operator."""
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qfrac import operators
 from qfrac.errors import BoundaryError, DomainError, GridMismatchError
 from qfrac.operators import (
-    KERNEL_CACHE_SIZE,
+    KERNEL_CACHE_BYTES,
     OmegaOp,
     build_kernel,
     caputo_derivative,
@@ -18,7 +22,15 @@ from qfrac.operators import (
     omega_apply,
     omega_power_one_closed,
 )
-from qfrac.qcore import FracOrder, GridFn, gamma_q, make_grid, q_bracket, q_factorial_power
+from qfrac.qcore import (
+    DEFAULT_TOL,
+    FracOrder,
+    GridFn,
+    gamma_q,
+    make_grid,
+    q_bracket,
+    q_factorial_power,
+)
 
 from oracles import ref_frac_int, ref_jackson_integral
 
@@ -127,11 +139,73 @@ def test_kernel_cache_reuses_read_only_kernels_and_evicts():
     k = build_kernel(GRID, 0, FracOrder(0.5))
     assert build_kernel(make_grid(Q, 7, 10), 0, FracOrder(0.5)) is k  # equal grid
     assert not k.weights.flags.writeable
-    for n in range(1, KERNEL_CACHE_SIZE + 1):
-        build_kernel(make_grid(Q, 7, n), 0, FracOrder(0.5))
+    # kernels on other windows until their bytes alone exceed the budget
+    cache = operators._KERNEL_CACHE
+    filled, n = 0, 1
+    while filled <= KERNEL_CACHE_BYTES:
+        filled += operators._kernel_bytes(build_kernel(make_grid(Q, 40, n), 0, FracOrder(0.5)))
+        n += 1
+    assert cache.nbytes <= KERNEL_CACHE_BYTES
+    assert cache.nbytes == sum(map(operators._kernel_bytes, cache._kernels.values()))
     rebuilt = build_kernel(GRID, 0, FracOrder(0.5))
     assert rebuilt is not k
     assert np.array_equal(rebuilt.weights, k.weights)
+
+
+def test_kernel_bytes_track_the_memory_of_the_row_views():
+    n = 64
+    k = operators._build_kernel(make_grid(Q, 70, n), 0, 0.5, DEFAULT_TOL)  # rows not built
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k.rows
+        row_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * n * operators._ROW_BYTES <= row_bytes <= 2 * n * operators._ROW_BYTES
+    assert operators._kernel_bytes(k) == k.weights.nbytes + n * operators._ROW_BYTES
+
+
+def test_kernel_cache_keeps_the_newest_kernel_past_its_budget(monkeypatch):
+    monkeypatch.setattr(operators, "_KERNEL_CACHE", operators._KernelCache(1))
+    k = build_kernel(GRID, 0, FracOrder(0.5))
+    assert build_kernel(GRID, 0, FracOrder(0.5)) is k
+    other = build_kernel(GRID, 0, FracOrder(0.25))
+    assert len(operators._KERNEL_CACHE._kernels) == 1
+    assert operators._KERNEL_CACHE.nbytes == operators._kernel_bytes(other)
+    assert build_kernel(GRID, 0, FracOrder(0.25)) is other
+    assert build_kernel(GRID, 0, FracOrder(0.5)) is not k
+
+
+def test_kernel_cache_under_concurrent_callers(monkeypatch):
+    # a budget of about two kernels, so that threads evict each other's kernels
+    keys = [(make_grid(Q, 7 + m, 10), al) for m in range(3) for al in (0.3, 0.6)]
+    want = {key: operators._build_kernel(key[0], 0, key[1], DEFAULT_TOL).weights for key in keys}
+    budget = 2 * operators._kernel_bytes(build_kernel(GRID, 0, FracOrder(0.5)))
+    cache = operators._KernelCache(budget)
+    monkeypatch.setattr(operators, "_KERNEL_CACHE", cache)
+    wrong: list[tuple] = []
+
+    def worker(offset: int) -> None:
+        for r in range(40):
+            key = keys[(r + offset) % len(keys)]
+            if not np.array_equal(build_kernel(key[0], 0, FracOrder(key[1])).weights, want[key]):
+                wrong.append(key)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert cache.nbytes == sum(map(operators._kernel_bytes, cache._kernels.values()))
+    assert cache.nbytes <= budget
 
 
 def test_kernel_diagonal_identity():
