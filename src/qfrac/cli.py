@@ -390,12 +390,10 @@ def _grid_from_t_column(ts: list[float], q: float) -> QGrid:
 @click.option("--mu", type=float, default=None,
               help="Constant coefficient when the table has no mu column.")
 @click.option("--tol", type=float, default=None)
-@click.option("--max-terms", type=int, default=None,
-              help="Deprecated and ignored; the bound is an exact triangular solve.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_cli_errors
-def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
+def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
     """Compute the Gronwall-type bound for (t, v, mu) rows from a CSV table.
 
     The t column must match the q-power grid implied by its anchor within
@@ -408,9 +406,6 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, rel_tol=tol, fmt=fmt)
     mu = _resolve(mu, cfg, "mu", float, None)
-    if _resolve(max_terms, cfg, "max_terms", int, None) is not None:
-        click.echo("qfrac bound: --max-terms (config key max_terms) is deprecated "
-                   "and ignored", err=True)
 
     header, rows = _read_csv_table(input_csv)
     if "t" not in header:
@@ -476,7 +471,8 @@ def cmd_bound(input_csv, q, alpha, mu, tol, max_terms, fmt, config_path):
 @main.command("verify")
 @click.argument("suite")
 @click.option("--seed", type=int, default=None, help="Seed for randomized suites; default 7.")
-@click.option("--cases", type=int, default=None, help="Instance count override.")
+@click.option("--cases", type=int, default=None,
+              help="Random cases per parameter combination; fixed-table suites reject it.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_cli_errors
 def cmd_verify(suite, seed, cases, config_path):
@@ -511,7 +507,7 @@ def cmd_verify(suite, seed, cases, config_path):
 @_cli_errors
 def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, config_path):
     """Continuous dependence on initial values: solve twice, print the bound."""
-    from .gronwall import dependence_experiment
+    from .gronwall import DEPENDENCE_SLACK, dependence_experiment
 
     cfg = load_config(config_path) if config_path else {}
     rc = _run_config(cfg, q=q, alpha=alpha, n_start=n_start, steps=steps, rel_tol=tol, fmt=fmt)
@@ -533,7 +529,7 @@ def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, co
     rows = [
         [_fmt(t), _fmt(report.phi.values[i]), _fmt(report.psi.values[i]),
          _fmt(report.abs_diff[i]), _fmt(report.bound[i]),
-         "true" if report.abs_diff[i] <= report.bound[i] + 1e-12 else "false"]
+         "true" if report.abs_diff[i] <= report.bound[i] + DEPENDENCE_SLACK else "false"]
         for i, t in enumerate(grid.points)
     ]
     if rc.fmt == "json":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +31,12 @@ HYPOTHESIS_TOL = 1e-12
 #: largest comparison-series value reported; beyond it the bound is useless
 #: and a DivergenceError is raised instead.
 DIVERGENCE_LIMIT = 1e100
+
+#: absolute slack of the continuous-dependence checks (the linear case is tight)
+DEPENDENCE_SLACK = 1e-12
+
+#: the n of the perturbed initial values gamma + 10**-n of that experiment
+DEPENDENCE_EXPONENTS = (1, 2, 3, 4, 5, 6)
 
 
 def _worst_excess(excess: np.ndarray) -> float:
@@ -373,15 +379,14 @@ def dependence_experiment(
     rhs: Callable[[float, float], float],
     lipschitz: float,
     tol: Tolerance = DEFAULT_TOL,
-    bound_slack: float = 1e-12,
-    seq_exponents: Sequence[int] = (1, 2, 3, 4, 5, 6),
 ) -> DependenceReport:
     """Solve the same problem from initial values gamma and beta and verify
     |phi - psi| <= |gamma - beta| * E_alpha(L, t - a) at every grid point.
 
     Also runs the perturbed-initial-value sequence gamma_n = gamma + 10**-n
-    and reports whether sup|phi - phi_n| decreases monotonically and stays
-    below |gamma - gamma_n| times the bound factor at the last grid point.
+    for n in :data:`DEPENDENCE_EXPONENTS` and reports whether sup|phi - phi_n|
+    decreases monotonically and stays below |gamma - gamma_n| times the bound
+    factor at the last grid point.
     """
     if not 0.0 <= lipschitz < 1.0:
         raise DomainError("Lipschitz constant must satisfy 0 <= L < 1")
@@ -408,19 +413,19 @@ def dependence_experiment(
     sl = slice(a_index, grid.count)
     excess = abs_diff[sl] - bound[sl]
     max_excess = _worst_excess(excess)
-    bound_holds = bool(max_excess <= bound_slack)
+    bound_holds = bool(max_excess <= DEPENDENCE_SLACK)
     gammas: list[float] = []
     sups: list[float] = []
     bounds: list[float] = []
     factor_last = float(factor[-1])
-    for n in seq_exponents:
+    for n in DEPENDENCE_EXPONENTS:
         g_n = gamma + 10.0 ** (-n)
         phi_n = solve(g_n)
         gammas.append(g_n)
         sups.append(float(np.abs(phi.values[sl] - phi_n.values[sl]).max()))
         bounds.append(abs(gamma - g_n) * factor_last)
     monotone = all(sups[i + 1] <= sups[i] for i in range(len(sups) - 1))
-    within = all(s <= b + bound_slack for s, b in zip(sups, bounds))
+    within = all(s <= b + DEPENDENCE_SLACK for s, b in zip(sups, bounds))
     return DependenceReport(
         phi=phi,
         psi=psi,

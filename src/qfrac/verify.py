@@ -3,12 +3,15 @@
 Each suite checks one family of identities or bounds at its published
 tolerance and returns a JSON-ready report::
 
-    {"suite": ..., "seed": ..., "cases": ..., "failures": [...],
+    {"suite": ..., "seed": ..., "scheme": 2, "cases": ..., "failures": [...],
      "max_errors_by_property": {...}}
 
-Suites are deterministic: randomized instances draw from per-case generators
-derived by seed-splitting, so reports are byte-stable for a fixed seed and
-independent of execution order.
+Five suites are randomized: lemma1, lemma22, gronwall, comparison and
+corollary.  Each of their parameter combinations draws its cases, in order,
+from one generator ``np.random.default_rng([seed, suite_id])``, so reports are
+byte-stable for a fixed seed and the cases of a run with ``cases=k`` are the
+first k of any larger run.  ``cases`` counts random cases per parameter
+combination; the other five suites run fixed tables and reject it.
 """
 from __future__ import annotations
 
@@ -51,21 +54,13 @@ from .special import _SeriesMemo
 
 _TINY = 1e-300
 
+#: version of the way randomized suites draw their cases, named in every
+#: report, since any change to it changes their reports
+SCHEME = 2
+
 
 def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), _TINY)
-
-
-def _rng(seed: int, suite_id: int, case: int) -> np.random.Generator:
-    """The generator of ``np.random.default_rng([seed, suite_id, case])``.
-
-    For a seed that fits one 32-bit word (suite ids and case indices stay
-    far below 2**32) the three go in as a uint32 array: SeedSequence takes
-    the same words, so the streams are the same, and skips converting a
-    list."""
-    if 0 <= seed < 2**32:
-        return np.random.default_rng(np.array((seed, suite_id, case), dtype=np.uint32))
-    return np.random.default_rng([seed, suite_id, case])
 
 
 def _record(errors: dict[str, float], key: str, err: float) -> float:
@@ -89,8 +84,8 @@ def suite_lemma1(seed: int, cases: int | None = None):
         qfp = _SeriesMemo(q, DEFAULT_TOL).power
         grid = make_grid(q, 6, 8)
         pts = grid.points
-        for c in range(pair_count):
-            rng = _rng(seed, 10 + qi, c)
+        rng = np.random.default_rng([seed, 10 + qi])
+        for _ in range(pair_count):
             i = int(rng.integers(2, grid.count))
             j = int(rng.integers(0, i - 1))
             t, s = pts[i], pts[j]
@@ -192,9 +187,9 @@ def suite_lemma22(seed: int, cases: int | None = None):
 
     for pi, (q, al) in enumerate(product((0.3, 0.5), (0.5, 0.8))):
         grid = make_grid(q, 9, 10)
+        rng = np.random.default_rng([seed, 40 + pi])
         for c in range(per_pair):
             n_cases += 1
-            rng = _rng(seed, 40 + pi, c)
             f = GridFn(grid, rng.uniform(-1.0, 1.0, grid.count))
             resid = caputo_inverse_identity_check(f, 0, FracOrder(al))
             _record(errors, "residual", resid)
@@ -276,9 +271,9 @@ def suite_gronwall(seed: int, cases: int | None = None):
         alpha = FracOrder(al)
         kernel = build_kernel(grid, 0, alpha)
         ceiling = sart_bound(grid, alpha)
+        rng = np.random.default_rng([seed, 70 + ci])
         for c in range(per_combo):
             n_cases += 1
-            rng = _rng(seed, 70 + ci, c)
             v_a = float(rng.uniform(0.0, 2.0))
             mu = GridFn(grid, rng.uniform(0.0, 0.98, grid.count) * ceiling)
             raw_slack = rng.uniform(0.0, 1.0, grid.count)
@@ -294,20 +289,18 @@ def suite_gronwall(seed: int, cases: int | None = None):
 
 def suite_comparison(seed: int, cases: int | None = None):
     """Slack-constructed super/sub pairs must stay ordered (1e-12)."""
-    total = cases or 200
-    combos = tuple(product((0.3, 0.5), (0.5, 0.9)))
-    per_combo = max(1, total // len(combos))
+    per_combo = cases or 50
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
-    for ci, (q, al) in enumerate(combos):
+    for ci, (q, al) in enumerate(product((0.3, 0.5), (0.5, 0.9))):
         grid = make_grid(q, 11, 12)
         alpha = FracOrder(al)
         kernel = build_kernel(grid, 0, alpha)
         ceiling = sart_bound(grid, alpha)
+        rng = np.random.default_rng([seed, 80 + ci])
         for c in range(per_combo):
             n_cases += 1
-            rng = _rng(seed, 80 + ci, c)
             x = GridFn(grid, rng.uniform(0.0, 0.98, grid.count) * ceiling)
             w_a = float(rng.uniform(0.5, 2.0))
             v_a = w_a - float(rng.uniform(0.0, 1.0))
@@ -340,10 +333,10 @@ def suite_corollary(seed: int, cases: int | None = None):
     grid = make_grid(q, 11, 12)
     alpha = FracOrder(1.0)
     kernel = build_kernel(grid, 0, alpha)
+    rng = np.random.default_rng([seed, 90])
     for lam in (0.3, 0.9, 1.8):
         n_cases += 1
         delta = GridFn.constant(grid, lam)
-        rng = _rng(seed, 90, n_cases)
         v = _march_nonneg(kernel, delta, float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 1.0, grid.count))
         result = q_gronwall_classical(v, delta, 0)
         v_a = float(v.values[0])
@@ -355,9 +348,9 @@ def suite_corollary(seed: int, cases: int | None = None):
             failures.append(f"corollary lam={lam}: closed-form mismatch {worst:.3e}")
         if result.max_violation > 1e-12:
             failures.append(f"corollary lam={lam}: violation {result.max_violation:.3e}")
+    rng = np.random.default_rng([seed, 91])
     for c in range(instance_count):
         n_cases += 1
-        rng = _rng(seed, 91, c)
         delta = GridFn(grid, rng.uniform(0.0, 0.98 / (1.0 - q), grid.count))
         v = _march_nonneg(kernel, delta, float(rng.uniform(0.0, 2.0)), rng.uniform(0.0, 1.0, grid.count))
         result = q_gronwall_classical(v, delta, 0)
@@ -417,6 +410,9 @@ _SUITES: dict[str, Callable] = {
     "dependence": suite_dependence,
 }
 
+#: the suites that draw random cases, the only ones ``cases`` applies to
+_RANDOMIZED = frozenset({"lemma1", "lemma22", "gronwall", "comparison", "corollary"})
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -429,37 +425,32 @@ def available_suites() -> tuple[str, ...]:
 def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     """Run one suite (or ``all``) and return its JSON-ready report.
 
-    ``seed`` must be a nonnegative integer and ``cases``, when given, an
-    integer of at least 1; anything else raises DomainError before a suite
-    runs."""
+    ``seed`` must be a nonnegative integer.  ``cases``, when given, is the
+    number of random cases per parameter combination: an integer of at least
+    1, for a randomized suite or ``all``, which passes it to its randomized
+    suites only.  Anything else raises DomainError before a suite runs."""
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if cases is not None and (not _is_int(cases) or cases < 1):
         raise DomainError(f"cases must be an integer of at least 1, got {cases!r}")
-    if name == "all":
-        total = 0
-        failures: list[str] = []
-        errors: dict[str, float] = {}
-        for sub, fn in _SUITES.items():
-            n, fail, errs = fn(seed, cases)
-            total += n
-            failures.extend(fail)
-            for k, v in errs.items():
-                errors[f"{sub}.{k}"] = v
-        return {
-            "suite": "all",
-            "seed": seed,
-            "cases": total,
-            "failures": failures,
-            "max_errors_by_property": errors,
-        }
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {available_suites()}")
-    n, failures, errors = _SUITES[name](seed, cases)
+    if cases is not None and name != "all" and name not in _RANDOMIZED:
+        raise DomainError(f"suite {name!r} runs a fixed table and takes no cases")
+    total = 0
+    failures: list[str] = []
+    errors: dict[str, float] = {}
+    for sub in _SUITES if name == "all" else (name,):
+        n, fail, errs = _SUITES[sub](seed, cases if sub in _RANDOMIZED else None)
+        total += n
+        failures.extend(fail)
+        for k, v in errs.items():
+            errors[f"{sub}.{k}" if name == "all" else k] = v
     return {
         "suite": name,
         "seed": seed,
-        "cases": n,
+        "scheme": SCHEME,
+        "cases": total,
         "failures": failures,
         "max_errors_by_property": errors,
     }

@@ -301,6 +301,8 @@ def test_bound_computed_diagonal_not_positive_exit_2(runner, tmp_path):
 
 
 def test_bound_max_terms_is_deprecated_and_ignored(runner, tmp_path):
+    # the deprecation has run its course: the flag is gone, so click rejects
+    # it, and the config key is ignored like any key a command does not read
     path = tmp_path / "table.csv"
     path.write_text(invoke(runner, "solve", "--problem", "sin", "--lambda", "0.5",
                            "--steps", "12", "--methods", "march").stdout, encoding="utf-8")
@@ -310,12 +312,13 @@ def test_bound_max_terms_is_deprecated_and_ignored(runner, tmp_path):
     plain = runner.invoke(main, args)
     assert plain.exit_code == 0
     assert plain.stderr == ""
-    for extra in (["--max-terms", "64"], ["--config", str(cfg)]):
-        res = runner.invoke(main, args + extra)
-        assert res.exit_code == 0
-        assert res.stdout == plain.stdout
-        assert len(res.stderr.splitlines()) == 1
-        assert "deprecated" in res.stderr
+    flag = runner.invoke(main, args + ["--max-terms", "64"])
+    assert flag.exit_code == 2
+    assert "No such option" in flag.stderr and "--max-terms" in flag.stderr
+    res = runner.invoke(main, args + ["--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.stdout == plain.stdout
+    assert res.stderr == ""
 
 
 def test_bound_missing_mu_exit_3(runner, tmp_path):
@@ -358,11 +361,15 @@ def test_verify_unknown_suite_exit_3(runner):
     assert res.exit_code == 3
 
 
-@pytest.mark.parametrize(
-    "args", [["--seed", "-1"], ["--cases", "0"], ["--cases", "-5"], ["--seed", "7", "--cases", "-2"]]
-)
+@pytest.mark.parametrize("args", [
+    ["gronwall", "--seed", "-1"],
+    ["gronwall", "--cases", "0"],
+    ["gronwall", "--cases", "-5"],
+    ["gronwall", "--seed", "7", "--cases", "-2"],
+    ["gamma", "--cases", "3"],  # a fixed-table suite takes no case count
+])
 def test_verify_bad_seed_or_case_count_exit_2(runner, args):
-    res = runner.invoke(main, ["verify", "gronwall", *args])
+    res = runner.invoke(main, ["verify", *args])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1

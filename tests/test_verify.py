@@ -1,14 +1,17 @@
-"""Tests for the verify runner: per-case generators, argument checks, and
-reports that do not depend on the state of the kernel cache."""
+"""Tests for the verify runner: one generator per parameter combination, one
+meaning of ``cases``, argument checks, and reports that do not depend on the
+state of the kernel cache."""
 import json
 
 import numpy as np
 import pytest
 
-from qfrac import operators
+from qfrac import gronwall, operators, verify
 from qfrac.errors import DomainError
 from qfrac.qcore import _gamma_q_cached
-from qfrac.verify import _rng, run_suite
+from qfrac.verify import run_suite
+
+FIXED_TABLE = ("gamma", "powerrule", "solver", "ratio", "dependence")
 
 
 def _fresh_kernel_cache(monkeypatch, budget=operators.KERNEL_CACHE_BYTES):
@@ -17,13 +20,76 @@ def _fresh_kernel_cache(monkeypatch, budget=operators.KERNEL_CACHE_BYTES):
     return cache
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 2, 2**32 - 1, 2**40])
-def test_rng_streams_equal_the_list_seeded_generator(seed):
-    for suite_id, case in ((10, 0), (70, 199), (91, 5)):
-        got = _rng(seed, suite_id, case)
-        want = np.random.default_rng([seed, suite_id, case])
-        assert got.bit_generator.state == want.bit_generator.state
-        assert np.array_equal(got.uniform(0.0, 1.0, 16), want.uniform(0.0, 1.0, 16))
+def test_verify_all_makes_one_generator_per_parameter_combination(monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    report = run_suite("all", seed=5)
+    # lemma1 3 + lemma22 4 + gronwall 4 + comparison 4 + corollary 2
+    assert len(made) == 17
+    assert len({repr(args) for args in made}) == 17
+    assert report["cases"] == 1289
+    assert report["scheme"] == 2
+
+
+def _recorded_inputs(monkeypatch, cases):
+    """The (v, mu) of each gronwall case and the (w, v, x) of each comparison
+    case, in call order, of one run of each suite at seed 5."""
+    seen = {"gronwall": [], "comparison": []}
+    bound, compare = gronwall.gronwall_bound, gronwall.verify_comparison
+
+    def recording_bound(inp, *args, **kwargs):
+        seen["gronwall"].append((inp.v.values.tolist(), inp.mu.values.tolist()))
+        return bound(inp, *args, **kwargs)
+
+    def recording_compare(inp, *args, **kwargs):
+        seen["comparison"].append(
+            (inp.w.values.tolist(), inp.v.values.tolist(), inp.x.values.tolist())
+        )
+        return compare(inp, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "gronwall_bound", recording_bound)
+    monkeypatch.setattr(verify, "verify_comparison", recording_compare)
+    for suite in seen:
+        assert run_suite(suite, seed=5, cases=cases)["failures"] == []
+    return seen
+
+
+def test_fewer_cases_are_a_prefix_of_more(monkeypatch):
+    short = _recorded_inputs(monkeypatch, 3)
+    long = _recorded_inputs(monkeypatch, 5)
+    for suite in ("gronwall", "comparison"):
+        assert len(short[suite]) == 4 * 3 and len(long[suite]) == 4 * 5
+        for combo in range(4):
+            assert short[suite][3 * combo:3 * combo + 3] == long[suite][5 * combo:5 * combo + 3]
+
+
+@pytest.mark.parametrize("cases", [1, 3, 7])
+def test_cases_count_per_parameter_combination(cases):
+    want = {"lemma1": 3 * cases, "lemma22": 4 * cases, "gronwall": 4 * cases,
+            "comparison": 4 * cases, "corollary": cases + 3}
+    for suite, count in want.items():
+        report = run_suite(suite, seed=5, cases=cases)
+        assert report["cases"] == count, suite
+        assert report["failures"] == [], suite
+
+
+@pytest.mark.parametrize("suite", FIXED_TABLE)
+def test_fixed_table_suites_reject_cases(suite):
+    with pytest.raises(DomainError, match="fixed table"):
+        run_suite(suite, seed=5, cases=3)
+
+
+def test_verify_all_passes_cases_to_the_randomized_suites_only():
+    report = run_suite("all", seed=5, cases=10)
+    fixed = sum(run_suite(suite, seed=5)["cases"] for suite in FIXED_TABLE)
+    assert report["failures"] == []
+    assert report["cases"] == fixed + 3 * 10 + 4 * 10 + 4 * 10 + 4 * 10 + 10 + 3
 
 
 def test_second_verify_all_builds_no_kernel(monkeypatch):
