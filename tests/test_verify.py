@@ -2,6 +2,7 @@
 meaning of ``cases``, argument checks, and reports that do not depend on the
 state of the kernel cache."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from qfrac.qcore import _gamma_q_cached
 from qfrac.verify import run_suite
 
 FIXED_TABLE = ("gamma", "powerrule", "solver", "ratio", "dependence")
+
+#: ``json.dumps(run_suite(suite, seed, cases), sort_keys=True)`` of scheme 2,
+#: pinned byte for byte: any change to a report is a new scheme
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_reports_scheme2.json").read_text())
 
 
 def _fresh_kernel_cache(monkeypatch, budget=operators.KERNEL_CACHE_BYTES):
@@ -35,6 +40,14 @@ def test_verify_all_makes_one_generator_per_parameter_combination(monkeypatch):
     assert len({repr(args) for args in made}) == 17
     assert report["cases"] == 1289
     assert report["scheme"] == 2
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN, ids=lambda e: f"{e['suite']}-seed{e['seed']}-cases{e['cases']}"
+)
+def test_reports_equal_the_scheme2_golden_bytes(entry):
+    report = run_suite(entry["suite"], seed=entry["seed"], cases=entry["cases"])
+    assert json.dumps(report, sort_keys=True) == entry["report"]
 
 
 def _recorded_inputs(monkeypatch, cases):
