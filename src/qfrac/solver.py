@@ -211,7 +211,7 @@ def solve_linear_iterative(
 
 def forward_substitution(
     kernel: OperatorKernel,
-    base: float,
+    base: float | np.ndarray,
     row: Callable[[int, float, float], tuple[float, float]],
 ) -> np.ndarray:
     """Solve y = base + W g row by row, in increasing t, where g_i depends on y_i.
@@ -227,9 +227,28 @@ def forward_substitution(
     stays on Python floats pays no numpy-scalar overhead; only the history
     dot product runs in numpy, on the row views the kernel built once
     (:attr:`OperatorKernel.rows`).
+
+    A (K,) array ``base`` solves K right-hand sides on the same kernel at
+    once: ``known`` and the hook's y_i and g_i are (K,) vectors, one entry
+    per right-hand side, the history is (N, K) and so is the result.  The
+    history sum of a row is accumulated term by term in increasing j, one
+    vector operation per term, so a column's floats do not depend on K or
+    on the other columns (a matrix product's blocking would make them).
+    Those sums may round differently from the scalar rows' dot products.
     """
     a_index = kernel.a_index
     history, diag = kernel.rows
+    if isinstance(base, np.ndarray) and base.ndim:
+        n = kernel.grid.count
+        y = np.empty((n, base.size))
+        g = np.zeros((n, base.size))
+        y[: a_index + 1] = base
+        for i in range(a_index + 1, n):
+            acc = np.zeros(base.size)
+            for w_ij, g_j in zip(history[i][a_index + 1 :].tolist(), g[a_index + 1 : i]):
+                acc += w_ij * g_j
+            y[i], g[i] = row(i, base + acc, diag[i])
+        return y
     base = float(base)
     y = [base] * (a_index + 1)
     g = np.zeros(kernel.grid.count)

@@ -16,6 +16,7 @@ combination; the other five suites run fixed tables and reject it.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 from itertools import product
 from typing import Callable
 
@@ -23,15 +24,21 @@ import numpy as np
 
 from .errors import DomainError
 from .gronwall import (
+    BLOCK_ULPS,
     ComparisonInput,
     GronwallInput,
+    _diagonal_factors,
+    _gronwall_bound_block,
+    _linear_rows,
     _ml_per_point,
+    _q_gronwall_classical_block,
+    _ulp_distance,
+    _verify_comparison_block,
+    dependence_experiment,
     gronwall_bound,
-    march_integral_equation,
     q_gronwall_classical,
     sart_bound,
     verify_comparison,
-    dependence_experiment,
 )
 from .operators import build_kernel, fractional_integral
 from .qcore import (
@@ -249,7 +256,19 @@ def suite_ratio(seed: int, cases: int | None = None):
 
 def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> GridFn:
     """March v = v_a + I^alpha(mu v) - slack with slack clamped so v stays
-    nonnegative (slack_i <= accumulated history), preserving the inequality."""
+    nonnegative (slack_i <= accumulated history), preserving the inequality.
+
+    An (N, K) array ``mu`` with (K,) ``v_a`` and (N, K) ``raw_slack`` marches
+    K cases as one block, with the diagonal factors of
+    :func:`qfrac.gronwall._diagonal_factors`, and returns the (N, K) array."""
+    if isinstance(mu, np.ndarray):
+        den = _diagonal_factors(kernel, mu)
+
+        def block_row(i: int, known: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+            y_i = (known - np.minimum(raw_slack[i], known)) / den[i]
+            return y_i, mu[i] * y_i
+
+        return forward_substitution(kernel, v_a, block_row)
     c = mu.values.tolist()
     slack = raw_slack.tolist()
 
@@ -260,84 +279,127 @@ def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> Grid
     return GridFn._owned(kernel.grid, forward_substitution(kernel, v_a, row))
 
 
+def _draws(seed: int, suite_id: int, cases: int, width: int) -> np.ndarray:
+    """The first ``cases`` cases of a parameter combination's stream, one
+    column per case and ``width`` uniform [0, 1) draws per case.
+
+    A case's draws come in the order a case-by-case loop of
+    ``rng.uniform(lo, hi, size)`` calls takes them, and ``uniform`` is
+    ``lo + (hi - lo) * random()``, so ``lo + (hi - lo) * row`` reproduces
+    those floats exactly."""
+    return np.random.default_rng([seed, suite_id]).random((cases, width)).T
+
+
+def _block_mismatch(tag: str, public: np.ndarray, block: np.ndarray, name: str) -> list[str]:
+    """A failure when the public function's result on a combination's first
+    case leaves the block's column by more than BLOCK_ULPS."""
+    ulps = _ulp_distance(public, block)
+    if ulps <= BLOCK_ULPS:
+        return []
+    return [f"{tag} case=0: block differs from {name} by {ulps:.3g} ulps"]
+
+
 def suite_gronwall(seed: int, cases: int | None = None):
-    """Slack-constructed instances must never exceed the series bound (1e-12)."""
+    """Slack-constructed instances must never exceed the series bound (1e-12).
+
+    Each parameter combination runs its cases as one block; its first case
+    also runs through the public :func:`gronwall_bound`, which must agree
+    with the block within BLOCK_ULPS."""
     per_combo = cases or 200
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     for ci, (q, al) in enumerate(product((0.3, 0.5), (0.5, 0.9))):
         grid = make_grid(q, 11, 12)
+        n = grid.count
         alpha = FracOrder(al)
         kernel = build_kernel(grid, 0, alpha)
         ceiling = sart_bound(grid, alpha)
-        rng = np.random.default_rng([seed, 70 + ci])
-        for c in range(per_combo):
-            n_cases += 1
-            v_a = float(rng.uniform(0.0, 2.0))
-            mu = GridFn(grid, rng.uniform(0.0, 0.98, grid.count) * ceiling)
-            raw_slack = rng.uniform(0.0, 1.0, grid.count)
-            v = _march_nonneg(kernel, mu, v_a, raw_slack)
-            result = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0))
-            _record(errors, "max_violation", result.max_violation)
-            if result.max_violation > 1e-12:
-                failures.append(
-                    f"gronwall q={q} alpha={al} case={c}: violation {result.max_violation:.3e}"
-                )
+        # per case: v(a) ~ U(0, 2), mu ~ U(0, 0.98) * ceiling, slack ~ U(0, 1)
+        r = _draws(seed, 70 + ci, per_combo, 1 + 2 * n)
+        mu = 0.98 * r[1 : n + 1] * ceiling[:, None]
+        v = _march_nonneg(kernel, mu, 2.0 * r[0], r[n + 1 :])
+        bound, violation = _gronwall_bound_block(grid, v, mu, alpha, 0)
+        n_cases += per_combo
+        _record(errors, "max_violation", max(violation.tolist()))
+        tag = f"gronwall q={q} alpha={al}"
+        for c in np.flatnonzero(violation > 1e-12).tolist():
+            failures.append(f"{tag} case={c}: violation {violation[c]:.3e}")
+        first = gronwall_bound(
+            GronwallInput(v=GridFn(grid, v[:, 0]), mu=GridFn(grid, mu[:, 0]), alpha=alpha, a_index=0)
+        )
+        failures += _block_mismatch(tag, first.bound.values, bound[:, 0], "gronwall_bound")
     return n_cases, failures, errors
 
 
 def suite_comparison(seed: int, cases: int | None = None):
-    """Slack-constructed super/sub pairs must stay ordered (1e-12)."""
+    """Slack-constructed super/sub pairs must stay ordered (1e-12).
+
+    Each parameter combination runs its cases as one block; its first case
+    also runs through the public :func:`verify_comparison`, whose outcomes
+    must equal the block's."""
     per_combo = cases or 50
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     for ci, (q, al) in enumerate(product((0.3, 0.5), (0.5, 0.9))):
         grid = make_grid(q, 11, 12)
+        n = grid.count
         alpha = FracOrder(al)
         kernel = build_kernel(grid, 0, alpha)
         ceiling = sart_bound(grid, alpha)
-        rng = np.random.default_rng([seed, 80 + ci])
-        for c in range(per_combo):
-            n_cases += 1
-            x = GridFn(grid, rng.uniform(0.0, 0.98, grid.count) * ceiling)
-            w_a = float(rng.uniform(0.5, 2.0))
-            v_a = w_a - float(rng.uniform(0.0, 1.0))
-            slack_w = GridFn(grid, -rng.uniform(0.0, 0.5, grid.count))
-            slack_v = GridFn(grid, rng.uniform(0.0, 0.5, grid.count))
-            w = march_integral_equation(kernel, x, w_a, slack_w)
-            v = march_integral_equation(kernel, x, v_a, slack_v)
-            report = verify_comparison(
-                ComparisonInput(w=w, v=v, x=x, alpha=alpha, a_index=0), tol=1e-12
-            )
-            if not report.all_hypotheses:
-                failures.append(f"comparison q={q} alpha={al} case={c}: hypothesis dropout")
-                continue
-            _record(errors, "max_violation", report.max_violation)
-            if not report.conclusion_holds:
+        # per case: x ~ U(0, 0.98) * ceiling, w(a) ~ U(0.5, 2), v(a) = w(a) - U(0, 1),
+        # slack of w ~ -U(0, 0.5), slack of v ~ U(0, 0.5)
+        r = _draws(seed, 80 + ci, per_combo, 3 * n + 2)
+        x = 0.98 * r[:n] * ceiling[:, None]
+        w_a = 0.5 + 1.5 * r[n]
+        w = _linear_rows(kernel, x, w_a, -(0.5 * r[n + 2 : 2 * n + 2]))
+        v = _linear_rows(kernel, x, w_a - r[n + 1], 0.5 * r[2 * n + 2 :])
+        report = _verify_comparison_block(grid, w, v, x, alpha, 0, tol=1e-12)
+        n_cases += per_combo
+        held = report.all_hypotheses
+        if held.any():
+            _record(errors, "max_violation", max(report.max_violation[held].tolist()))
+        tag = f"comparison q={q} alpha={al}"
+        for c in np.flatnonzero(~held | ~report.conclusion_holds).tolist():
+            if not held[c]:
+                failures.append(f"{tag} case={c}: hypothesis dropout")
+            else:
+                failures.append(f"{tag} case={c}: violation {report.max_violation[c]:.3e}")
+        first = verify_comparison(
+            ComparisonInput(w=GridFn(grid, w[:, 0]), v=GridFn(grid, v[:, 0]),
+                            x=GridFn(grid, x[:, 0]), alpha=alpha, a_index=0),
+            tol=1e-12,
+        )
+        for field in fields(first):
+            want, got = getattr(first, field.name), getattr(report, field.name)[0]
+            if not (want == got or math.isnan(want) and math.isnan(got)):
                 failures.append(
-                    f"comparison q={q} alpha={al} case={c}: violation {report.max_violation:.3e}"
+                    f"{tag} case=0: block {field.name} {got} differs from verify_comparison's {want}"
                 )
     return n_cases, failures, errors
 
 
 def suite_corollary(seed: int, cases: int | None = None):
     """Order-1 bound: series equals the Mittag-Leffler closed form (1e-10)
-    and dominates slack-constructed instances."""
+    and dominates slack-constructed instances.
+
+    The random instances run as one block; the first also runs through the
+    public :func:`q_gronwall_classical`, which must agree within BLOCK_ULPS."""
     instance_count = cases or 50
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     q = 0.5
     grid = make_grid(q, 11, 12)
+    n = grid.count
     alpha = FracOrder(1.0)
     kernel = build_kernel(grid, 0, alpha)
     rng = np.random.default_rng([seed, 90])
     for lam in (0.3, 0.9, 1.8):
         n_cases += 1
         delta = GridFn.constant(grid, lam)
-        v = _march_nonneg(kernel, delta, float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 1.0, grid.count))
+        v = _march_nonneg(kernel, delta, float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 1.0, n))
         result = q_gronwall_classical(v, delta, 0)
         v_a = float(v.values[0])
         ml = _ml_per_point(grid, 0, 1.0, lam, DEFAULT_TOL)
@@ -348,15 +410,17 @@ def suite_corollary(seed: int, cases: int | None = None):
             failures.append(f"corollary lam={lam}: closed-form mismatch {worst:.3e}")
         if result.max_violation > 1e-12:
             failures.append(f"corollary lam={lam}: violation {result.max_violation:.3e}")
-    rng = np.random.default_rng([seed, 91])
-    for c in range(instance_count):
-        n_cases += 1
-        delta = GridFn(grid, rng.uniform(0.0, 0.98 / (1.0 - q), grid.count))
-        v = _march_nonneg(kernel, delta, float(rng.uniform(0.0, 2.0)), rng.uniform(0.0, 1.0, grid.count))
-        result = q_gronwall_classical(v, delta, 0)
-        _record(errors, "max_violation", result.max_violation)
-        if result.max_violation > 1e-12:
-            failures.append(f"corollary case={c}: violation {result.max_violation:.3e}")
+    # per case: delta ~ U(0, 0.98 / (1 - q)), v(a) ~ U(0, 2), slack ~ U(0, 1)
+    r = _draws(seed, 91, instance_count, 2 * n + 1)
+    delta = (0.98 / (1.0 - q)) * r[:n]
+    v = _march_nonneg(kernel, delta, 2.0 * r[n], r[n + 1 :])
+    bound, violation = _q_gronwall_classical_block(grid, v, delta, 0)
+    n_cases += instance_count
+    _record(errors, "max_violation", max(violation.tolist()))
+    for c in np.flatnonzero(violation > 1e-12).tolist():
+        failures.append(f"corollary case={c}: violation {violation[c]:.3e}")
+    first = q_gronwall_classical(GridFn(grid, v[:, 0]), GridFn(grid, delta[:, 0]), 0)
+    failures += _block_mismatch("corollary", first.bound.values, bound[:, 0], "q_gronwall_classical")
     return n_cases, failures, errors
 
 

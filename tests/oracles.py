@@ -175,6 +175,18 @@ def comparison_series(weights, mu, max_terms, rel_tol=0.0):
     return sums
 
 
+def ref_linear_system(weights, mu, a_idx):
+    """The exact solution u of (I - W diag mu) u = 1 for float data W and mu,
+    solved row by row in 50 digits: 1 at and below a_idx."""
+    w = [[mpf(x) for x in row] for row in np.asarray(weights).tolist()]
+    m = [mpf(x) for x in np.asarray(mu).tolist()]
+    u = [mpf(1)] * len(m)
+    for i in range(a_idx + 1, len(m)):
+        known = 1 + mp.fsum(w[i][j] * m[j] * u[j] for j in range(a_idx + 1, i))
+        u[i] = known / (1 - w[i][i] * m[i])
+    return u
+
+
 def ref_order_one_factor(pts, a_idx, delta, q):
     """Order-1 comparison series in closed form: at pts[i] it is
     prod_{a < j <= i} 1 / (1 - (1-q) t_j delta_j), and 1 at and below a."""

@@ -3,6 +3,7 @@ and byte-level determinism."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +375,16 @@ def test_verify_bad_seed_or_case_count_exit_2(runner, args):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr)["error"] == "DomainError"
+
+
+def test_verify_all_stdout_is_the_golden_report(runner):
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "verify_reports_scheme2.json").read_text()
+    )
+    entry = next(e for e in golden if (e["suite"], e["seed"], e["cases"]) == ("all", 7, None))
+    res = invoke(runner, "verify", "all", "--seed", "7")
+    assert res.exit_code == 0
+    assert res.stdout == json.dumps(json.loads(entry["report"]), sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_all_deterministic(runner):

@@ -52,22 +52,21 @@ def test_reports_equal_the_scheme2_golden_bytes(entry):
 
 def _recorded_inputs(monkeypatch, cases):
     """The (v, mu) of each gronwall case and the (w, v, x) of each comparison
-    case, in call order, of one run of each suite at seed 5."""
+    case, in case order, of one run of each suite at seed 5, read from the
+    columns of the blocks the suites check."""
     seen = {"gronwall": [], "comparison": []}
-    bound, compare = gronwall.gronwall_bound, gronwall.verify_comparison
+    bound, compare = gronwall._gronwall_bound_block, gronwall._verify_comparison_block
 
-    def recording_bound(inp, *args, **kwargs):
-        seen["gronwall"].append((inp.v.values.tolist(), inp.mu.values.tolist()))
-        return bound(inp, *args, **kwargs)
+    def recording_bound(grid, v, mu, *args, **kwargs):
+        seen["gronwall"].extend(zip(v.T.tolist(), mu.T.tolist()))
+        return bound(grid, v, mu, *args, **kwargs)
 
-    def recording_compare(inp, *args, **kwargs):
-        seen["comparison"].append(
-            (inp.w.values.tolist(), inp.v.values.tolist(), inp.x.values.tolist())
-        )
-        return compare(inp, *args, **kwargs)
+    def recording_compare(grid, w, v, x, *args, **kwargs):
+        seen["comparison"].extend(zip(w.T.tolist(), v.T.tolist(), x.T.tolist()))
+        return compare(grid, w, v, x, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "gronwall_bound", recording_bound)
-    monkeypatch.setattr(verify, "verify_comparison", recording_compare)
+    monkeypatch.setattr(verify, "_gronwall_bound_block", recording_bound)
+    monkeypatch.setattr(verify, "_verify_comparison_block", recording_compare)
     for suite in seen:
         assert run_suite(suite, seed=5, cases=cases)["failures"] == []
     return seen
