@@ -264,7 +264,6 @@ def _gronwall_bound_block(
     mu: np.ndarray,
     alpha: FracOrder,
     a_index: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`gronwall_bound` for K instances on one window, solved as one block.
 
@@ -293,7 +292,7 @@ def _gronwall_bound_block(
             f"case {k}: mu violates the strict admissibility ceiling at indices {list(bad)}",
             indices=bad,
         )
-    kernel = build_kernel(grid, a_index, alpha, tol)
+    kernel = build_kernel(grid, a_index, alpha)
     u = _linear_rows(kernel, mu, np.ones(mu.shape[1]))
     u_max = u.max(axis=0)
     k = _first_case(~(u_max <= DIVERGENCE_LIMIT))
@@ -402,7 +401,6 @@ def _verify_comparison_block(
     alpha: FracOrder,
     a_index: int,
     tol: float = 1e-12,
-    work_tol: Tolerance = DEFAULT_TOL,
 ) -> ComparisonReport:
     """:func:`verify_comparison` for K pairs on one window, checked as one block.
 
@@ -421,7 +419,7 @@ def _verify_comparison_block(
     k = _first_case(~(np.isfinite(w) & np.isfinite(v) & np.isfinite(x)))
     if k >= 0:
         raise DomainError(f"case {k}: w, v and x must be finite")
-    weights = build_kernel(grid, a_index, alpha, work_tol).weights
+    weights = build_kernel(grid, a_index, alpha).weights
     omega = []
     for phi in (w, v):
         vals = x * phi
@@ -522,7 +520,7 @@ def q_gronwall_classical(
 
 
 def _q_gronwall_classical_block(
-    grid: QGrid, v: np.ndarray, delta: np.ndarray, a_index: int, tol: Tolerance = DEFAULT_TOL
+    grid: QGrid, v: np.ndarray, delta: np.ndarray, a_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`q_gronwall_classical` for K instances on one window, solved as
     one block by :func:`_gronwall_bound_block`; ``v`` and ``delta`` are
@@ -530,10 +528,10 @@ def _q_gronwall_classical_block(
     k = _first_case(~((delta >= 0.0) & (delta < 1.0 / (1.0 - grid.q))))
     if k >= 0:
         _delta_range_error(grid, delta[:, k], f"case {k}: ")
-    bound, violation = _gronwall_bound_block(grid, v, delta, FracOrder(1.0), a_index, tol)
+    bound, violation = _gronwall_bound_block(grid, v, delta, FracOrder(1.0), a_index)
     for k in np.flatnonzero((delta == delta[0]).all(axis=0)).tolist():
         _check_closed_form(grid, a_index, float(v[a_index, k]), float(delta[0, k]),
-                           bound[:, k], tol, f"case {k}: ")
+                           bound[:, k], DEFAULT_TOL, f"case {k}: ")
     return bound, violation
 
 

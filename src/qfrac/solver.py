@@ -231,10 +231,11 @@ def forward_substitution(
     A (K,) array ``base`` solves K right-hand sides on the same kernel at
     once: ``known`` and the hook's y_i and g_i are (K,) vectors, one entry
     per right-hand side, the history is (N, K) and so is the result.  The
-    history sum of a row is accumulated term by term in increasing j, one
-    vector operation per term, so a column's floats do not depend on K or
-    on the other columns (a matrix product's blocking would make them).
-    Those sums may round differently from the scalar rows' dot products.
+    history sum of a row is a running sum (``cumsum``) in increasing j,
+    which adds in that order for any K, so a column's floats do not depend
+    on K or on the other columns (a matrix product's blocking would make
+    them).  Those sums may round differently from the scalar rows' dot
+    products.
     """
     a_index = kernel.a_index
     history, diag = kernel.rows
@@ -244,10 +245,9 @@ def forward_substitution(
         g = np.zeros((n, base.size))
         y[: a_index + 1] = base
         for i in range(a_index + 1, n):
-            acc = np.zeros(base.size)
-            for w_ij, g_j in zip(history[i][a_index + 1 :].tolist(), g[a_index + 1 : i]):
-                acc += w_ij * g_j
-            y[i], g[i] = row(i, base + acc, diag[i])
+            # from column a_index on, whose history entry is 0, so never empty
+            terms = history[i][a_index:, None] * g[a_index:i]
+            y[i], g[i] = row(i, base + terms.cumsum(axis=0)[-1], diag[i])
         return y
     base = float(base)
     y = [base] * (a_index + 1)
