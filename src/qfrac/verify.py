@@ -12,6 +12,11 @@ from one generator ``np.random.default_rng([seed, suite_id])``, so reports are
 byte-stable for a fixed seed and the cases of a run with ``cases=k`` are the
 first k of any larger run.  ``cases`` counts random cases per parameter
 combination; the other five suites run fixed tables and reject it.
+
+Suites gronwall and comparison, and corollary's random cases, run the cases
+of each parameter combination as one block: one forward substitution over
+(N, K) right-hand sides, cross-checked on the first case against the public
+function of :mod:`qfrac.gronwall`.
 """
 from __future__ import annotations
 

@@ -9,7 +9,7 @@ import pytest
 
 from qfrac import gronwall, operators, verify
 from qfrac.errors import DomainError
-from qfrac.qcore import _gamma_q_cached
+from qfrac.qcore import FracOrder, _gamma_q_cached, make_grid
 from qfrac.verify import run_suite
 
 FIXED_TABLE = ("gamma", "powerrule", "solver", "ratio", "dependence")
@@ -51,11 +51,12 @@ def test_reports_equal_the_scheme2_golden_bytes(entry):
 
 
 def _recorded_inputs(monkeypatch, cases):
-    """The (v, mu) of each gronwall case and the (w, v, x) of each comparison
-    case, in case order, of one run of each suite at seed 5, read from the
-    columns of the blocks the suites check."""
-    seen = {"gronwall": [], "comparison": []}
+    """The (v, mu) of each gronwall and random corollary case and the
+    (w, v, x) of each comparison case, in case order, of one run of each
+    suite at seed 5, read from the columns of the blocks the suites check."""
+    seen = {"gronwall": [], "comparison": [], "corollary": []}
     bound, compare = gronwall._gronwall_bound_block, gronwall._verify_comparison_block
+    order_one = gronwall._q_gronwall_classical_block
 
     def recording_bound(grid, v, mu, *args, **kwargs):
         seen["gronwall"].extend(zip(v.T.tolist(), mu.T.tolist()))
@@ -65,7 +66,12 @@ def _recorded_inputs(monkeypatch, cases):
         seen["comparison"].extend(zip(w.T.tolist(), v.T.tolist(), x.T.tolist()))
         return compare(grid, w, v, x, *args, **kwargs)
 
+    def recording_order_one(grid, v, delta, *args, **kwargs):
+        seen["corollary"].extend(zip(v.T.tolist(), delta.T.tolist()))
+        return order_one(grid, v, delta, *args, **kwargs)
+
     monkeypatch.setattr(verify, "_gronwall_bound_block", recording_bound)
+    monkeypatch.setattr(verify, "_q_gronwall_classical_block", recording_order_one)
     monkeypatch.setattr(verify, "_verify_comparison_block", recording_compare)
     for suite in seen:
         assert run_suite(suite, seed=5, cases=cases)["failures"] == []
@@ -79,6 +85,33 @@ def test_fewer_cases_are_a_prefix_of_more(monkeypatch):
         assert len(short[suite]) == 4 * 3 and len(long[suite]) == 4 * 5
         for combo in range(4):
             assert short[suite][3 * combo:3 * combo + 3] == long[suite][5 * combo:5 * combo + 3]
+
+
+def test_block_draws_are_the_case_by_case_uniform_draws(monkeypatch):
+    # each case drew rng.uniform(lo, hi[, size]) in turn from its combination's
+    # generator; the blocks must hold those floats (the marched v, w and v
+    # only at the lower limit, where they equal the drawn initial values)
+    seen = _recorded_inputs(monkeypatch, 3)
+    for combo, (q, al) in enumerate([(0.3, 0.5), (0.3, 0.9), (0.5, 0.5), (0.5, 0.9)]):
+        grid = make_grid(q, 11, 12)
+        ceiling = gronwall.sart_bound(grid, FracOrder(al))
+        rng = np.random.default_rng([5, 70 + combo])
+        for v, mu in seen["gronwall"][3 * combo:3 * combo + 3]:
+            assert v[0] == rng.uniform(0.0, 2.0)
+            assert mu == (rng.uniform(0.0, 0.98, 12) * ceiling).tolist()
+            rng.uniform(0.0, 1.0, 12)
+        rng = np.random.default_rng([5, 80 + combo])
+        for w, v, x in seen["comparison"][3 * combo:3 * combo + 3]:
+            assert x == (rng.uniform(0.0, 0.98, 12) * ceiling).tolist()
+            assert w[0] == rng.uniform(0.5, 2.0)
+            assert v[0] == w[0] - rng.uniform(0.0, 1.0)
+            rng.uniform(0.0, 0.5, 12), rng.uniform(0.0, 0.5, 12)
+    rng = np.random.default_rng([5, 91])
+    assert len(seen["corollary"]) == 3
+    for v, delta in seen["corollary"]:
+        assert delta == rng.uniform(0.0, 0.98 / (1.0 - 0.5), 12).tolist()
+        assert v[0] == rng.uniform(0.0, 2.0)
+        rng.uniform(0.0, 1.0, 12)
 
 
 @pytest.mark.parametrize("cases", [1, 3, 7])
