@@ -163,10 +163,7 @@ def _diagonal_factors(kernel: OperatorKernel, coeff: np.ndarray) -> np.ndarray:
 
 
 def _linear_rows(
-    kernel: OperatorKernel,
-    coeff: np.ndarray,
-    y_a: float | np.ndarray,
-    slack: np.ndarray | None = None,
+    kernel: OperatorKernel, coeff: np.ndarray, y_a: float, slack: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve y = y_a + W diag(coeff) y - slack above the lower limit, row by row.
 
@@ -175,19 +172,7 @@ def _linear_rows(
     computed diagonal it can round to 0 or below for a coefficient within
     ulps of the ceiling; then PreconditionError names every index whose
     factor is not positive.  Below the lower limit y is filled with y_a.
-
-    An (N, K) ``coeff`` with a (K,) ``y_a`` (and an (N, K) ``slack``) solves
-    K such systems as one block, one column each, with the factors of
-    :func:`_diagonal_factors`: every case is checked before the first row.
     """
-    if coeff.ndim == 2:
-        den = _diagonal_factors(kernel, coeff)
-
-        def block_row(i: int, known: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-            y_i = (known if slack is None else known - slack[i]) / den[i]
-            return y_i, coeff[i] * y_i
-
-        return forward_substitution(kernel, np.asarray(y_a, dtype=float), block_row)
     c = coeff.tolist()
     s = [0.0] * len(c) if slack is None else slack.tolist()
 
@@ -204,6 +189,33 @@ def _linear_rows(
         return y_i, c[i] * y_i
 
     return forward_substitution(kernel, y_a, row)
+
+
+def _block_rows(
+    kernel: OperatorKernel,
+    coeff: np.ndarray,
+    y_a: np.ndarray,
+    slack: np.ndarray | None = None,
+    clamp: bool = False,
+) -> np.ndarray:
+    """:func:`_linear_rows` for K systems on one kernel, solved as one block.
+
+    ``coeff`` and ``slack`` are (N, K) and ``y_a`` is (K,), one column per
+    case; the result is (N, K).  The diagonal factors are those of
+    :func:`_diagonal_factors`, so every case is checked before the first
+    row.  With ``clamp`` each row's slack is capped at its known part,
+    min(slack_i, known_i), so that y stays nonnegative where y_a and coeff
+    are: the sub-solutions the verify suites construct.
+    """
+    den = _diagonal_factors(kernel, coeff)
+
+    def row(i: int, known: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+        if slack is not None:
+            known = known - (np.minimum(slack[i], known) if clamp else slack[i])
+        y_i = known / den[i]
+        return y_i, coeff[i] * y_i
+
+    return forward_substitution(kernel, np.asarray(y_a, dtype=float), row)
 
 
 def gronwall_bound(
@@ -293,7 +305,7 @@ def _gronwall_bound_block(
             indices=bad,
         )
     kernel = build_kernel(grid, a_index, alpha)
-    u = _linear_rows(kernel, mu, np.ones(mu.shape[1]))
+    u = _block_rows(kernel, mu, np.ones(mu.shape[1]))
     u_max = u.max(axis=0)
     k = _first_case(~(u_max <= DIVERGENCE_LIMIT))
     if k >= 0:
@@ -400,7 +412,6 @@ def _verify_comparison_block(
     x: np.ndarray,
     alpha: FracOrder,
     a_index: int,
-    tol: float = 1e-12,
 ) -> ComparisonReport:
     """:func:`verify_comparison` for K pairs on one window, checked as one block.
 
@@ -408,9 +419,9 @@ def _verify_comparison_block(
     the checks of :class:`ComparisonInput` and raises their error classes,
     with the first failing case named in the message.  Each field of the
     returned report is a (K,) array with the per-case outcome of the same
-    name.  The fractional integrals run as one matrix product, whose sums
-    may round differently from the public path's; the hypotheses' slack
-    :data:`HYPOTHESIS_TOL` absorbs that while the values stay moderate.
+    name.  Each case's fractional integrals are the matrix-vector products
+    of :func:`omega_apply`, so every outcome is the public function's, bit
+    for bit; the conclusion is checked at its default ``tol``, 1e-12.
     """
     if alpha.alpha > 1.0:
         raise DomainError("the comparison check is stated for orders in (0, 1]")
@@ -427,7 +438,8 @@ def _verify_comparison_block(
         if k >= 0:
             raise DomainError(f"case {k}: grid function values must be finite")
         vals[: a_index + 1] = 0.0
-        omega.append(weights @ vals)
+        # one product per case: a matrix product's sums would round differently
+        omega.append(np.stack([weights @ col for col in np.ascontiguousarray(vals.T)], axis=1))
     sl = slice(a_index, grid.count)
     w_a, v_a = w[a_index], v[a_index]
     holds_super = (w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL).all(axis=0)
@@ -443,7 +455,7 @@ def _verify_comparison_block(
         holds_admissible=holds_admissible,
         holds_initial=holds_initial,
         conclusion_checked=checked,
-        conclusion_holds=checked & (max_violation <= tol),
+        conclusion_holds=checked & (max_violation <= 1e-12),
         max_violation=max_violation,
     )
 

@@ -32,9 +32,8 @@ from .gronwall import (
     BLOCK_ULPS,
     ComparisonInput,
     GronwallInput,
-    _diagonal_factors,
+    _block_rows,
     _gronwall_bound_block,
-    _linear_rows,
     _ml_per_point,
     _q_gronwall_classical_block,
     _ulp_distance,
@@ -262,18 +261,8 @@ def suite_ratio(seed: int, cases: int | None = None):
 def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> GridFn:
     """March v = v_a + I^alpha(mu v) - slack with slack clamped so v stays
     nonnegative (slack_i <= accumulated history), preserving the inequality.
-
-    An (N, K) array ``mu`` with (K,) ``v_a`` and (N, K) ``raw_slack`` marches
-    K cases as one block, with the diagonal factors of
-    :func:`qfrac.gronwall._diagonal_factors`, and returns the (N, K) array."""
-    if isinstance(mu, np.ndarray):
-        den = _diagonal_factors(kernel, mu)
-
-        def block_row(i: int, known: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
-            y_i = (known - np.minimum(raw_slack[i], known)) / den[i]
-            return y_i, mu[i] * y_i
-
-        return forward_substitution(kernel, v_a, block_row)
+    :func:`qfrac.gronwall._block_rows` with ``clamp`` marches a block of such
+    cases."""
     c = mu.values.tolist()
     slack = raw_slack.tolist()
 
@@ -323,7 +312,7 @@ def suite_gronwall(seed: int, cases: int | None = None):
         # per case: v(a) ~ U(0, 2), mu ~ U(0, 0.98) * ceiling, slack ~ U(0, 1)
         r = _draws(seed, 70 + ci, per_combo, 1 + 2 * n)
         mu = 0.98 * r[1 : n + 1] * ceiling[:, None]
-        v = _march_nonneg(kernel, mu, 2.0 * r[0], r[n + 1 :])
+        v = _block_rows(kernel, mu, 2.0 * r[0], r[n + 1 :], clamp=True)
         bound, violation = _gronwall_bound_block(grid, v, mu, alpha, 0)
         n_cases += per_combo
         _record(errors, "max_violation", max(violation.tolist()))
@@ -358,9 +347,9 @@ def suite_comparison(seed: int, cases: int | None = None):
         r = _draws(seed, 80 + ci, per_combo, 3 * n + 2)
         x = 0.98 * r[:n] * ceiling[:, None]
         w_a = 0.5 + 1.5 * r[n]
-        w = _linear_rows(kernel, x, w_a, -(0.5 * r[n + 2 : 2 * n + 2]))
-        v = _linear_rows(kernel, x, w_a - r[n + 1], 0.5 * r[2 * n + 2 :])
-        report = _verify_comparison_block(grid, w, v, x, alpha, 0, tol=1e-12)
+        w = _block_rows(kernel, x, w_a, -(0.5 * r[n + 2 : 2 * n + 2]))
+        v = _block_rows(kernel, x, w_a - r[n + 1], 0.5 * r[2 * n + 2 :])
+        report = _verify_comparison_block(grid, w, v, x, alpha, 0)
         n_cases += per_combo
         held = report.all_hypotheses
         if held.any():
@@ -418,7 +407,7 @@ def suite_corollary(seed: int, cases: int | None = None):
     # per case: delta ~ U(0, 0.98 / (1 - q)), v(a) ~ U(0, 2), slack ~ U(0, 1)
     r = _draws(seed, 91, instance_count, 2 * n + 1)
     delta = (0.98 / (1.0 - q)) * r[:n]
-    v = _march_nonneg(kernel, delta, 2.0 * r[n], r[n + 1 :])
+    v = _block_rows(kernel, delta, 2.0 * r[n], r[n + 1 :], clamp=True)
     bound, violation = _q_gronwall_classical_block(grid, v, delta, 0)
     n_cases += instance_count
     _record(errors, "max_violation", max(violation.tolist()))

@@ -17,6 +17,7 @@ from qfrac.gronwall import (
     BLOCK_ULPS,
     ComparisonInput,
     GronwallInput,
+    _block_rows,
     _gronwall_bound_block,
     _linear_rows,
     _q_gronwall_classical_block,
@@ -71,11 +72,7 @@ def _comparison_agrees(grid, w, v, x, order, a_index, report, k):
 
 
 def test_block_columns_equal_the_public_functions_on_200_windows():
-    # The comparison hypotheses carry an absolute slack of 1e-12, which the
-    # rounding of sums near 1e16 exceeds; there both paths decide by their
-    # rounding, so the outcomes are compared where |w| and |v| stay below 1e6.
     k_cases = 3
-    compared = 0
     for grid, order, a_index, rng in _random_windows(200, seed=2024):
         n = grid.count
         ceiling = sart_bound(grid, order)[:, None]
@@ -87,15 +84,12 @@ def test_block_columns_equal_the_public_functions_on_200_windows():
 
         kernel = build_kernel(grid, a_index, order)
         w_a = rng.uniform(0.5, 2.0, k_cases)
-        w = _linear_rows(kernel, mu, w_a, -rng.uniform(0.0, 0.5, (n, k_cases)))
-        v = _linear_rows(kernel, mu, w_a - rng.uniform(0.0, 1.0, k_cases),
-                         rng.uniform(0.0, 0.5, (n, k_cases)))
+        w = _block_rows(kernel, mu, w_a, -rng.uniform(0.0, 0.5, (n, k_cases)))
+        v = _block_rows(kernel, mu, w_a - rng.uniform(0.0, 1.0, k_cases),
+                        rng.uniform(0.0, 0.5, (n, k_cases)))
         report = _verify_comparison_block(grid, w, v, mu, order, a_index)
-        moderate = np.maximum(np.abs(w), np.abs(v)).max(axis=0) <= 1e6
-        for k in np.flatnonzero(moderate).tolist():
+        for k in range(k_cases):
             _comparison_agrees(grid, w, v, mu, order, a_index, report, k)
-        compared += int(moderate.sum())
-    assert compared >= 300
 
 
 def test_order_one_block_equals_q_gronwall_classical():
@@ -116,11 +110,11 @@ def test_block_columns_do_not_depend_on_the_block():
     kernel = build_kernel(grid, 3, order)
     rng = np.random.default_rng(11)
     mu = rng.uniform(0.0, 0.98, (grid.count, 9)) * sart_bound(grid, order)[:, None]
-    whole = _linear_rows(kernel, mu, np.ones(9))
+    whole = _block_rows(kernel, mu, np.ones(9))
     for k in range(9):
-        alone = _linear_rows(kernel, mu[:, k:k + 1], np.ones(1))
+        alone = _block_rows(kernel, mu[:, k:k + 1], np.ones(1))
         assert alone.tobytes() == whole[:, k:k + 1].tobytes()
-    assert whole[:, 2:7].tobytes() == _linear_rows(kernel, mu[:, 2:7], np.ones(5)).tobytes()
+    assert whole[:, 2:7].tobytes() == _block_rows(kernel, mu[:, 2:7], np.ones(5)).tobytes()
 
 
 def test_block_of_one_case():
@@ -140,7 +134,7 @@ def test_block_of_one_case():
     bound, violation = _gronwall_bound_block(grid, v, mu, order, 0)
     assert bound.shape == (grid.count, 1) and violation.shape == (1,)
     _bound_agrees(grid, v[:, 0], mu[:, 0], order, 0, bound[:, 0], violation[0])
-    w = _linear_rows(kernel, mu, np.array([1.5]), -np.full((grid.count, 1), 0.1))
+    w = _block_rows(kernel, mu, np.array([1.5]), -np.full((grid.count, 1), 0.1))
     report = _verify_comparison_block(grid, w, v, mu, order, 0)
     _comparison_agrees(grid, w, v, mu, order, 0, report, 0)
 
@@ -238,7 +232,7 @@ def test_block_rows_are_no_less_accurate_than_scalar_rows():
         order = FracOrder(al)
         kernel = build_kernel(grid, a_index, order)
         mu = rng.uniform(0.9, 0.999, (n, 128)) * sart_bound(grid, order)[:, None]
-        block = _linear_rows(kernel, mu, np.ones(128))
+        block = _block_rows(kernel, mu, np.ones(128))
         for k in range(128):
             exact = ref_linear_system(kernel.weights, mu[:, k], a_index)
             scalar = _linear_rows(kernel, mu[:, k], 1.0)
