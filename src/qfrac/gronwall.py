@@ -22,7 +22,7 @@ from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OmegaOp, OperatorKernel, build_kernel, omega_apply
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
-from .special import MLSpec, _ml_series, _SeriesMemo, convergence_ratio_estimate
+from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
@@ -558,9 +558,10 @@ def _ml_per_point(
     grid: QGrid, a_index: int, alpha: float, lam: float, tol: Tolerance
 ) -> list[float]:
     """E_alpha(lam, t - a) at each grid point from the lower limit a on, 1
-    below it; one memo serves the N series of this call only."""
+    below it; one memo serves the N series of this call, or of the
+    enclosing ``run_suite`` call, which sums a repeated series once."""
     spec = MLSpec(alpha, 1.0, lam, grid.points[a_index], tol)
-    memo = _SeriesMemo(grid.q, tol)
+    memo = _series_memo(grid.q, tol)
     ml = [_ml_series(spec, t, grid.q, memo=memo).value for t in grid.points[a_index:]]
     return [1.0] * a_index + ml
 

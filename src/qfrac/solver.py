@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NonConvergenceError, PreconditionError, StepError
 from .operators import OperatorKernel, build_kernel, fractional_integral
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
-from .special import MLSpec, _ml_series, _SeriesMemo, convergence_ratio_estimate
+from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
 
 
 def _check_finite(**values: float) -> None:
@@ -137,13 +137,16 @@ def solve_linear_closed(
     :class:`qfrac.special._SeriesMemo`).  On the grid these ratios repeat
     across pairs, so all series of the call share one memo: each distinct
     product factor and each Gamma_q(alpha k + beta) is evaluated once per
-    call.  The memo is dropped when the call returns, and the result is the
-    same float for float as with every product evaluated afresh.
+    call.  The memo is dropped when the call returns; inside a
+    :func:`qfrac.verify.run_suite` call the memo is that call's, which also
+    shares power sequences and series values between solves.  Either way
+    the result is the same float for float as with every product evaluated
+    afresh.
     """
     _check_convergence_domain(p)
     grid, q, al = p.grid, p.grid.q, p.alpha.alpha
     a = grid.points[p.a_index]
-    memo = _SeriesMemo(q, tol)
+    memo = _series_memo(q, tol)
     y = np.empty(grid.count)
     y[: p.a_index] = p.y0
     forcing = p.forcing.values.tolist()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qfrac.qcore as qcore
+import qfrac.special as special
 import qfrac.verify as verify
 from qfrac.errors import DivergenceError, NonConvergenceError, PreconditionError, StepError
 from qfrac.gronwall import (
@@ -328,7 +329,7 @@ def test_suite_cache_leaves_reports_unchanged(monkeypatch, name, seed):
         def __init__(self, q, tol):
             self.power = lambda t, s, nu: q_factorial_power(t, s, nu, q, tol)
 
-    monkeypatch.setattr(verify, "_SeriesMemo", Fresh)
+    monkeypatch.setattr(verify, "_series_memo", Fresh)
     assert verify.run_suite(name, seed) == memoized
 
 
@@ -351,7 +352,7 @@ def test_suite_cache_is_per_call(monkeypatch):
 
     real = qcore._product_factor
     monkeypatch.setattr(qcore, "_product_factor", counted)
-    monkeypatch.setattr(verify, "_SeriesMemo", Counting)
+    monkeypatch.setattr(special, "_SeriesMemo", Counting)  # what run_suite's scope makes
     for name in ("lemma1", "powerrule"):
         evaluated.clear()
         verify.run_suite(name, 1)

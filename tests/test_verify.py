@@ -50,6 +50,30 @@ def test_reports_equal_the_scheme2_golden_bytes(entry):
     assert json.dumps(report, sort_keys=True) == entry["report"]
 
 
+def _golden_seed7(suite):
+    entry = next(e for e in GOLDEN if (e["suite"], e["seed"], e["cases"]) == (suite, 7, None))
+    return json.loads(entry["report"])
+
+
+@pytest.mark.parametrize("suite", FIXED_TABLE)
+def test_fixed_table_golden_entries_are_slices_of_verify_all(suite):
+    alone, every = _golden_seed7(suite), _golden_seed7("all")
+    prefix = f"{suite}."
+    assert alone["suite"] == suite and alone["scheme"] == every["scheme"] == 2
+    assert alone["max_errors_by_property"] == {
+        k[len(prefix):]: v
+        for k, v in every["max_errors_by_property"].items() if k.startswith(prefix)
+    }
+    assert alone["failures"] == [f for f in every["failures"] if f.startswith(suite)]
+
+
+def test_standalone_golden_entries_add_up_to_verify_all():
+    every = _golden_seed7("all")
+    alone = [_golden_seed7(suite) for suite in verify.available_suites() if suite != "all"]
+    assert sum(report["cases"] for report in alone) == every["cases"]
+    assert [f for report in alone for f in report["failures"]] == every["failures"]
+
+
 def _recorded_inputs(monkeypatch, cases):
     """The (v, mu) of each gronwall and random corollary case and the
     (w, v, x) of each comparison case, in case order, of one run of each
