@@ -570,7 +570,14 @@ def _ml_bound_factor(
     grid: QGrid, a_index: int, alpha: FracOrder, lam: float, tol: Tolerance
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
-    comparison series sum_k (Omega_lam^k 1), which it must equal."""
+    comparison series sum_k (Omega_lam^k 1), which it must equal.
+
+    Inside a ``run_suite`` call the checked array is kept, read-only, in the
+    call's memo, so a second experiment on the same window reads it."""
+    memo = _series_memo(grid.q, tol)
+    key = (grid, a_index, alpha.alpha, lam)
+    if key in memo.bound_factors:
+        return memo.bound_factors[key]
     out = np.array(_ml_per_point(grid, a_index, alpha.alpha, lam, tol))
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
@@ -579,6 +586,9 @@ def _ml_bound_factor(
         raise QFracError(
             f"operator series and Mittag-Leffler bound factor disagree by {mismatch!r}"
         )
+    if memo.shared:
+        out.setflags(write=False)
+        memo.bound_factors[key] = out
     return out
 
 

@@ -4,8 +4,8 @@ Each row hook (marching's damped fixed point, the linear rows of the
 comparison factor and of the integral equations) must reproduce, bit for
 bit, the numpy-scalar rows kept in ``oracles``: the same solutions, inner
 iteration counts, residuals and bounds, and the same StepError when a
-march stalls.  The per-call product memo of the verify suites must leave
-their reports unchanged.
+march stalls.  The product memo of the verify suites must leave their
+reports unchanged.
 """
 import math
 
@@ -333,7 +333,7 @@ def test_suite_cache_leaves_reports_unchanged(monkeypatch, name, seed):
     assert verify.run_suite(name, seed) == memoized
 
 
-def test_suite_cache_is_per_call(monkeypatch):
+def test_suite_products_outlive_the_call(monkeypatch):
     evaluated = []  # product factors computed on behalf of the suite's memos
     inside = []
 
@@ -354,10 +354,13 @@ def test_suite_cache_is_per_call(monkeypatch):
     monkeypatch.setattr(qcore, "_product_factor", counted)
     monkeypatch.setattr(special, "_SeriesMemo", Counting)  # what run_suite's scope makes
     for name in ("lemma1", "powerrule"):
+        store = special._ProductStore(special.PRODUCT_STORE_ENTRIES)
+        monkeypatch.setattr(special, "_PRODUCT_STORE", store)  # a cleared store
         evaluated.clear()
         verify.run_suite(name, 1)
         first = len(evaluated)
         assert first > 0
         assert first == len(set(evaluated))  # each distinct factor evaluated once
+        assert store.entries() >= first
         verify.run_suite(name, 1)
-        assert evaluated[first:] == evaluated[:first]  # nothing carried between calls
+        assert len(evaluated) == first  # the next call reads every factor from the store

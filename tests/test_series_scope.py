@@ -1,18 +1,21 @@
 """One series memo per ``run_suite`` call: the scope shares q-products,
 power sequences and Mittag-Leffler values between the suites of one call,
 and nothing else may change.  Reports must be the golden bytes with or
-without the scope, and no memo may outlive the call."""
+without the scope, and no memo may outlive the call.  The product factors
+alone outlive it, in one bounded process-wide store, and reports must not
+depend on what that store holds."""
 import gc
 import json
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qfrac import gronwall, solver, special, verify
+from qfrac import gronwall, qcore, solver, special, verify
 from qfrac.errors import DomainError
 from qfrac.qcore import DEFAULT_TOL, FracOrder, GridFn, make_grid
 from qfrac.solver import LinearIVP, solve_linear_closed
@@ -229,3 +232,164 @@ def test_concurrent_run_suite_calls_keep_their_own_scopes():
     assert not any(thread.is_alive() for thread in threads)
     assert reports == [[_golden("all")] * 2] * workers
     _assert_no_scope_left()
+
+
+def _fresh_store(monkeypatch, budget=special.PRODUCT_STORE_ENTRIES):
+    store = special._ProductStore(budget)
+    monkeypatch.setattr(special, "_PRODUCT_STORE", store)
+    return store
+
+
+class _EvictionCounting(special._ProductStore):
+    """A store that counts the tables evicted while a scope asks for tables."""
+
+    evicted = 0
+
+    def table(self, q, max_terms, nu):
+        before = set(self._tables)
+        table = super().table(q, max_terms, nu)
+        self.evicted += len(before - set(self._tables))
+        return table
+
+
+@pytest.mark.parametrize("state", ["cold", "warm", "evicting"])
+def test_reports_do_not_depend_on_the_product_store(monkeypatch, state):
+    budget = 8 if state == "evicting" else special.PRODUCT_STORE_ENTRIES
+    store = _EvictionCounting(budget)
+    monkeypatch.setattr(special, "_PRODUCT_STORE", store)
+    if state == "warm":
+        for seed in range(100, 120):
+            run_suite("all", seed=seed)
+        assert store.entries() > 1000
+    for entry in GOLDEN:
+        if state == "cold":
+            store.clear()
+        report = run_suite(entry["suite"], seed=entry["seed"], cases=entry["cases"])
+        assert json.dumps(report, sort_keys=True) == entry["report"], entry["suite"]
+        assert store.entries() <= budget
+    # only the 8-entry store evicts while a call runs
+    assert (store.evicted > 0) == (state == "evicting")
+
+
+def test_store_never_stays_above_its_budget(monkeypatch):
+    store = _fresh_store(monkeypatch, budget=500)
+    for seed in range(3):
+        run_suite("all", seed=seed)
+        assert 0 < store.entries() <= 500
+    run_suite("gamma", seed=7)  # sums no series, asks for no table
+    assert 0 < store.entries() <= 500
+
+
+def test_a_warm_store_evaluates_no_product_factor(monkeypatch):
+    store = _fresh_store(monkeypatch)
+    run_suite("all", seed=21)
+    evaluated = []
+    real = qcore._product_factor
+
+    def counting(*args):
+        evaluated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qcore, "_product_factor", counting)
+    first = store.entries()
+    assert json.dumps(run_suite("all", seed=7), sort_keys=True) == _golden("all")
+    # seed 7 needs only a few factors that seed 21 did not
+    assert 0 < len(evaluated) == store.entries() - first < 200
+
+
+def test_calls_outside_a_scope_leave_the_store_alone(monkeypatch):
+    store = _fresh_store(monkeypatch)
+    asked = []
+    monkeypatch.setattr(store, "table", lambda *key: asked.append(key))
+    monkeypatch.setattr(store, "trim", lambda: asked.append("trim"))
+    grid = make_grid(0.5, 11, 12)
+    solve_linear_closed(_solver_problems()[0.5, 0.5, 0.2])
+    solve_linear_closed(_solver_problems()[0.3, 0.9, 0.4], via_modified_ml=True)
+    gronwall._ml_per_point(grid, 0, 0.5, 0.3, DEFAULT_TOL)
+    gronwall._ml_bound_factor(grid, 0, FracOrder(0.5), 0.3, DEFAULT_TOL)
+    assert asked == []
+    assert store.entries() == 0
+
+
+def test_dependence_checks_its_bound_factor_once_per_call(monkeypatch):
+    checks = []
+    rows = gronwall._linear_rows
+
+    def counting(kernel, coeff, y_a):
+        checks.append((kernel.grid, kernel.a_index, tuple(coeff), y_a))
+        return rows(kernel, coeff, y_a)
+
+    monkeypatch.setattr(gronwall, "_linear_rows", counting)
+    for _ in range(2):  # once per call, not once per process
+        checks.clear()
+        assert json.dumps(run_suite("dependence", seed=7), sort_keys=True) == _golden("dependence")
+        assert len(checks) == 1
+    # outside a scope each experiment runs its own check
+    grid, alpha = make_grid(0.5, 11, 12), FracOrder(0.5)
+    checks.clear()
+    for _ in range(2):
+        factor = gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL)
+        assert factor.flags.writeable
+    assert len(checks) == 2
+    with _series_scope():
+        shared = gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL)
+        assert gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL) is shared
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, factor)
+        # another window, order or lambda is a check of its own
+        gronwall._ml_bound_factor(grid, 1, alpha, 0.5, DEFAULT_TOL)
+        gronwall._ml_bound_factor(grid, 0, FracOrder(0.6), 0.5, DEFAULT_TOL)
+        gronwall._ml_bound_factor(grid, 0, alpha, 0.4, DEFAULT_TOL)
+    assert len(checks) == 6
+
+
+@pytest.mark.parametrize("budget", [special.PRODUCT_STORE_ENTRIES, 8])
+def test_concurrent_run_suite_calls_share_one_store(monkeypatch, budget):
+    # the threads fill (and with 8 entries evict from) one store at once
+    store = _fresh_store(monkeypatch, budget)
+    workers = 3
+    start = threading.Barrier(workers)
+    reports = [None] * workers
+
+    def run(slot):
+        start.wait()
+        reports[slot] = json.dumps(run_suite("all", seed=7), sort_keys=True)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [_golden("all")] * workers
+    assert store.entries() <= budget
+    _assert_no_scope_left()
+
+
+#: bytes per store entry that special.PRODUCT_STORE_ENTRIES documents
+_ENTRY_BYTES = 90
+
+
+def test_store_bytes_per_entry_match_the_documented_figure(monkeypatch):
+    _fresh_store(monkeypatch)
+    run_suite("all", seed=7)  # kernels, Gamma_q values and lazy imports in place
+    store = _fresh_store(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_suite("all", seed=7)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = store.entries()
+    assert entries > 1000
+    assert 0.75 * _ENTRY_BYTES <= retained / entries <= 1.25 * _ENTRY_BYTES
+    # so a full store stays under half a megabyte
+    assert special.PRODUCT_STORE_ENTRIES * retained / entries < 512 * 1024
