@@ -204,10 +204,6 @@ class _ProductStore:
         with self._lock:
             return sum(map(len, self._tables.values()))
 
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-
 
 _PRODUCT_STORE = _ProductStore(PRODUCT_STORE_ENTRIES)
 

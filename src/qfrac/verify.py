@@ -19,11 +19,14 @@ of each parameter combination as one block: one forward substitution over
 function of :mod:`qfrac.gronwall`.
 
 :func:`run_suite` runs its suites inside one series scope
-(:func:`qfrac.special._series_scope`): at each q, every q-product factor,
-Mittag-Leffler power sequence and Mittag-Leffler value the suites ask for
-is evaluated once per call, and the memos are dropped when the call
-returns or raises.  A value read from a memo is the float a fresh
-evaluation gives, so reports do not depend on the scope.
+(:func:`qfrac.special._series_scope`): at each q, every Mittag-Leffler
+power sequence and Mittag-Leffler value the suites ask for is evaluated
+once per call, and the memos are dropped when the call returns or raises.
+Their q-product factors are kept beyond the call, in the bounded
+process-wide store :data:`qfrac.special._PRODUCT_STORE`, so each is
+evaluated once per process while the store holds it.  A value read from a
+memo or the store is the float a fresh evaluation gives, so reports do not
+depend on the scope or on what the store holds.
 """
 from __future__ import annotations
 
@@ -497,7 +500,8 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     suites only.  Anything else raises DomainError before a suite runs.
 
     The suites share one series scope, dropped when the call returns or
-    raises (see the module docstring)."""
+    raises; only its product factors stay, in a bounded store (see the
+    module docstring)."""
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if cases is not None and (not _is_int(cases) or cases < 1):
