@@ -65,16 +65,6 @@ def sart_bound(grid: QGrid, alpha: FracOrder) -> np.ndarray:
     return 1.0 / (grid.t ** alpha.alpha * (1.0 - grid.q) ** alpha.alpha)
 
 
-def _ceiling(grid: QGrid, alpha: FracOrder) -> np.ndarray:
-    """:func:`sart_bound`, computed once per grid and order and read-only."""
-    ceiling = grid._ceilings.get(alpha.alpha)
-    if ceiling is None:
-        ceiling = sart_bound(grid, alpha)
-        ceiling.setflags(write=False)
-        grid._ceilings[alpha.alpha] = ceiling
-    return ceiling
-
-
 def check_sart(x: GridFn, alpha: FracOrder, strict: bool = False) -> np.ndarray:
     """Per-point flags for 0 <= x(t) <= ceiling (non-strict) or < ceiling (strict).
 
@@ -82,7 +72,7 @@ def check_sart(x: GridFn, alpha: FracOrder, strict: bool = False) -> np.ndarray:
     1 - x(t) (1-q)**alpha t**alpha positive; the non-strict form is enough
     for the comparison argument.
     """
-    bound = _ceiling(x.grid, alpha)
+    bound = sart_bound(x.grid, alpha)
     if strict:
         return (x.values >= 0.0) & (x.values < bound)
     return (x.values >= 0.0) & (x.values <= bound)
@@ -163,7 +153,11 @@ def _diagonal_factors(kernel: OperatorKernel, coeff: np.ndarray) -> np.ndarray:
 
 
 def _linear_rows(
-    kernel: OperatorKernel, coeff: np.ndarray, y_a: float, slack: np.ndarray | None = None
+    kernel: OperatorKernel,
+    coeff: np.ndarray,
+    y_a: float,
+    slack: np.ndarray | None = None,
+    clamp: bool = False,
 ) -> np.ndarray:
     """Solve y = y_a + W diag(coeff) y - slack above the lower limit, row by row.
 
@@ -172,6 +166,9 @@ def _linear_rows(
     computed diagonal it can round to 0 or below for a coefficient within
     ulps of the ceiling; then PreconditionError names every index whose
     factor is not positive.  Below the lower limit y is filled with y_a.
+    With ``clamp`` each row's slack is capped at its known part,
+    min(slack_i, known_i), so that y stays nonnegative where y_a and coeff
+    are: the sub-solutions the verify suites construct.
     """
     c = coeff.tolist()
     s = [0.0] * len(c) if slack is None else slack.tolist()
@@ -185,7 +182,7 @@ def _linear_rows(
                 f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
                 indices=tuple(bad),
             )
-        y_i = (known - s[i]) / den
+        y_i = (known - (min(s[i], known) if clamp else s[i])) / den
         return y_i, c[i] * y_i
 
     return forward_substitution(kernel, y_a, row)
@@ -203,9 +200,7 @@ def _block_rows(
     ``coeff`` and ``slack`` are (N, K) and ``y_a`` is (K,), one column per
     case; the result is (N, K).  The diagonal factors are those of
     :func:`_diagonal_factors`, so every case is checked before the first
-    row.  With ``clamp`` each row's slack is capped at its known part,
-    min(slack_i, known_i), so that y stays nonnegative where y_a and coeff
-    are: the sub-solutions the verify suites construct.
+    row; ``clamp`` caps each row's slack as it does there.
     """
     den = _diagonal_factors(kernel, coeff)
 
@@ -296,7 +291,7 @@ def _gronwall_bound_block(
     k = _first_case(mu < 0.0)
     if k >= 0:
         raise DomainError(f"case {k}: coefficient mu must be nonnegative")
-    above = mu >= _ceiling(grid, alpha)[:, None]
+    above = mu >= sart_bound(grid, alpha)[:, None]
     k = _first_case(above)
     if k >= 0:
         bad = tuple(int(i) for i in np.flatnonzero(above[:, k]))
@@ -444,7 +439,7 @@ def _verify_comparison_block(
     w_a, v_a = w[a_index], v[a_index]
     holds_super = (w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL).all(axis=0)
     holds_sub = (v[sl] <= v_a + omega[1][sl] + HYPOTHESIS_TOL).all(axis=0)
-    holds_admissible = ((x >= 0.0) & (x <= _ceiling(grid, alpha)[:, None])).all(axis=0)
+    holds_admissible = ((x >= 0.0) & (x <= sart_bound(grid, alpha)[:, None])).all(axis=0)
     holds_initial = w_a >= v_a
     checked = holds_super & holds_sub & holds_admissible & holds_initial
     worst = (v[sl] - w[sl]).max(axis=0)
@@ -570,14 +565,10 @@ def _ml_bound_factor(
     grid: QGrid, a_index: int, alpha: FracOrder, lam: float, tol: Tolerance
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
-    comparison series sum_k (Omega_lam^k 1), which it must equal.
-
-    Inside a ``run_suite`` call the checked array is kept, read-only, in the
-    call's memo, so a second experiment on the same window reads it."""
-    memo = _series_memo(grid.q, tol)
-    key = (grid, a_index, alpha.alpha, lam)
-    if key in memo.bound_factors:
-        return memo.bound_factors[key]
+    comparison series sum_k (Omega_lam^k 1), which it must equal.  The
+    series values come from :func:`_ml_per_point`, so inside a ``run_suite``
+    call a repeated factor is summed once; the cross-check runs on every
+    call."""
     out = np.array(_ml_per_point(grid, a_index, alpha.alpha, lam, tol))
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)
@@ -586,9 +577,6 @@ def _ml_bound_factor(
         raise QFracError(
             f"operator series and Mittag-Leffler bound factor disagree by {mismatch!r}"
         )
-    if memo.shared:
-        out.setflags(write=False)
-        memo.bound_factors[key] = out
     return out
 
 

@@ -5,14 +5,12 @@ coefficient-weighted summation operator used by the comparison series.
 On a grid window the q-integral from the lower limit a to any point is an
 exact finite sum over the points in (a, t], so the fractional integral is
 materialized once per (grid, a, order) as a lower-triangular weight matrix;
-every later application is a triangular mat-vec.  The most recently used
-kernels are kept in a cache bounded by the bytes they hold, since the
-matrices are read-only.
+every later application is a triangular mat-vec.  The matrices are
+read-only, so the most recently used kernels are shared from one
+:class:`qfrac.qcore._BoundedLRU` bounded by the bytes they hold.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +25,7 @@ from .qcore import (
     GridFn,
     QGrid,
     Tolerance,
+    _BoundedLRU,
     gamma_q,
     q_factorial_power,
 )
@@ -117,40 +116,8 @@ def _kernel_bytes(kernel: OperatorKernel) -> int:
     return kernel.weights.nbytes + len(kernel.weights) * _ROW_BYTES
 
 
-class _KernelCache:
-    """Least-recently-used kernels whose :func:`_kernel_bytes` sum to at most
-    ``budget``; the newest kernel is kept even when it alone exceeds it.
-
-    Safe for concurrent callers: lookups and inserts hold a lock, builds run
-    outside it, and when two callers build the same kernel at once the first
-    one inserted is returned to both.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._kernels: OrderedDict[tuple, OperatorKernel] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, grid: QGrid, a_index: int, al: float, tol: Tolerance) -> OperatorKernel:
-        key = (grid, a_index, al, tol)
-        with self._lock:
-            kernel = self._kernels.get(key)
-            if kernel is not None:
-                self._kernels.move_to_end(key)
-                return kernel
-        built = _build_kernel(grid, a_index, al, tol)
-        with self._lock:
-            kernel = self._kernels.setdefault(key, built)
-            self._kernels.move_to_end(key)
-            if kernel is built:
-                self.nbytes += _kernel_bytes(built)
-                while self.nbytes > self.budget and len(self._kernels) > 1:
-                    self.nbytes -= _kernel_bytes(self._kernels.popitem(last=False)[1])
-        return kernel
-
-
-_KERNEL_CACHE = _KernelCache(KERNEL_CACHE_BYTES)
+#: the kernels :func:`build_kernel` keeps, least recently used first out
+_KERNEL_CACHE = _BoundedLRU(KERNEL_CACHE_BYTES, _kernel_bytes)
 
 
 def build_kernel(
@@ -164,7 +131,8 @@ def build_kernel(
     """
     if not 0 <= a_index < grid.count:
         raise BoundaryError(f"a_index {a_index} outside grid of {grid.count} points")
-    return _KERNEL_CACHE.get(grid, int(a_index), float(alpha.alpha), tol)
+    key = (grid, int(a_index), float(alpha.alpha), tol)
+    return _KERNEL_CACHE.get(key, lambda: _build_kernel(*key))
 
 
 def _build_kernel(grid: QGrid, a_index: int, al: float, tol: Tolerance) -> OperatorKernel:

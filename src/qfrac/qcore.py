@@ -12,6 +12,10 @@ function derived from it.  Infinite products are truncated after
 less than machine epsilon, and are accumulated through ``log1p``/``fsum`` so
 the identities tested at 1e-10 survive bases close to 1.
 
+:class:`_BoundedLRU` is the one least-recently-used cache class of the
+package, for the long-lived caches of :mod:`qfrac.operators` and
+:mod:`qfrac.special`.
+
 numpy is imported only where arrays are needed (:attr:`QGrid.t`,
 :class:`GridFn`, and the long-product pass of :func:`_q_product` once numpy
 is loaded anyway), so scalar evaluations run without it.
@@ -20,9 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from .errors import DomainError, GridMismatchError, NonConvergenceError, PoleError, RangeError
 
@@ -93,11 +99,52 @@ class QGrid:
         arr.setflags(write=False)
         return arr
 
-    @cached_property
-    def _ceilings(self) -> dict[float, np.ndarray]:
-        """Read-only admissibility ceilings by order, filled by
-        :mod:`qfrac.gronwall`: each is computed once per window and order."""
-        return {}
+
+class _BoundedLRU:
+    """Least-recently-used values whose sizes, as ``size(value)`` gives
+    them, sum to at most ``budget``.
+
+    :meth:`get` looks a key up under a lock and builds a missing value
+    outside it; when two callers build one key at once, both get the value
+    stored first.  Each insert trims the oldest values but keeps the newest,
+    even when it alone exceeds the budget; :meth:`trim` enforces the budget
+    fully, even if that empties the cache.  Values may grow after they are
+    handed out, so every trim sums the sizes afresh.
+    """
+
+    def __init__(self, budget: int, size: Callable[[Any], int]) -> None:
+        self.budget = budget
+        self._size = size
+        self._items: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, make: Callable[[], Any]) -> Any:
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+                return value
+        built = make()
+        with self._lock:
+            value = self._items.setdefault(key, built)
+            self._items.move_to_end(key)
+            self._trim(keep=1)
+        return value
+
+    def trim(self) -> None:
+        """Evict least recently used values until the sizes fit the budget."""
+        with self._lock:
+            self._trim(keep=0)
+
+    def _trim(self, keep: int) -> None:
+        total = sum(map(self._size, self._items.values()))
+        while total > self.budget and len(self._items) > keep:
+            total -= self._size(self._items.popitem(last=False)[1])
+
+    def total(self) -> int:
+        """The sum of the sizes of the values held."""
+        with self._lock:
+            return sum(map(self._size, self._items.values()))
 
 
 def make_grid(q: float, n_start: int, count: int) -> QGrid:

@@ -13,8 +13,6 @@ summed as a series of positive terms instead, so neither cancels for t < 0.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -27,6 +25,7 @@ from .errors import (
 from .qcore import (
     DEFAULT_TOL,
     Tolerance,
+    _BoundedLRU,
     _check_q,
     _log_gamma_q,
     _q_factorial_power,
@@ -100,10 +99,10 @@ class _SeriesMemo:
     A memo lives for one call: of the function that makes it, or, made
     ``shared`` by :func:`_series_scope`, of the whole scope (one
     ``run_suite`` call).  The memo itself is never kept beyond it, but a
-    shared memo takes its product tables from the process-wide
-    :data:`_PRODUCT_STORE`, so the product factors of one scope serve the
-    next.  Power sequences, Gamma_q lists, results and the checked bound
-    factors of :func:`qfrac.gronwall._ml_bound_factor` stay with the memo.
+    shared memo takes its product tables from :data:`_PRODUCT_STORE`, a
+    process-wide least-recently-used cache bounded by entries, so the
+    product factors of one scope serve the next.  Power sequences, Gamma_q
+    lists and results stay with the memo.
     """
 
     def __init__(self, q: float, tol: Tolerance, shared: bool = False) -> None:
@@ -115,7 +114,6 @@ class _SeriesMemo:
         self._gammas: dict[tuple[float, float], list[float]] = {}
         self._log_gammas: dict[float, float] = {}
         self.results: dict[tuple[MLSpec, float, bool], MLResult] = {}
-        self.bound_factors: dict[tuple, object] = {}
 
     def products(self, nu: float) -> dict[float, float]:
         """The product factors of (t - s)_q^nu, keyed by s/t: the store's
@@ -123,7 +121,7 @@ class _SeriesMemo:
         products = self._products.get(nu)
         if products is None:
             products = self._products[nu] = (
-                _PRODUCT_STORE.table(self.q, self.max_terms, nu) if self.shared else {}
+                _PRODUCT_STORE.get((self.q, self.max_terms, nu), dict) if self.shared else {}
             )
         return products
 
@@ -160,52 +158,15 @@ class _SeriesMemo:
 PRODUCT_STORE_ENTRIES = 4096
 
 
-class _ProductStore:
-    """Least-recently-used product tables {s/t: factor}, one per
-    (q, max_terms, nu), shared by the memos of every :func:`_series_scope`.
-
-    A factor depends only on its key and s/t, and a hit returns the float a
-    fresh evaluation gives, so results do not depend on what the store
-    holds.  Tables grow after they are handed out, so the bound of
-    ``budget`` entries is enforced when a table is made, which evicts the
-    least recently used others but never the new one, and when a scope
-    ends, which leaves at most ``budget`` entries.  Lookups and trims hold
-    a lock; two threads filling one table at once at worst evaluate a
-    factor twice and store the same float.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self._tables: OrderedDict[tuple[float, int, float], dict[float, float]] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def table(self, q: float, max_terms: int, nu: float) -> dict[float, float]:
-        key = (q, max_terms, nu)
-        with self._lock:
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = {}
-                self._trim()  # the new table is empty, so it stays
-            else:
-                self._tables.move_to_end(key)
-            return table
-
-    def trim(self) -> None:
-        """Evict least recently used tables until at most ``budget`` entries remain."""
-        with self._lock:
-            self._trim()
-
-    def _trim(self) -> None:
-        entries = sum(map(len, self._tables.values()))
-        while entries > self.budget:
-            entries -= len(self._tables.popitem(last=False)[1])
-
-    def entries(self) -> int:
-        with self._lock:
-            return sum(map(len, self._tables.values()))
-
-
-_PRODUCT_STORE = _ProductStore(PRODUCT_STORE_ENTRIES)
+#: product tables {s/t: factor}, one per (q, max_terms, nu), shared by the
+#: memos of every :func:`_series_scope` and bounded by their entries.  A
+#: factor depends only on its key and s/t, and a hit returns the float a
+#: fresh evaluation gives, so results do not depend on what the store holds.
+#: Tables grow after they are handed out, so the budget holds after
+#: :meth:`~qfrac.qcore._BoundedLRU.trim`, which each scope runs as it ends.
+#: Two threads filling one table at once at worst evaluate a factor twice
+#: and store the same float.
+_PRODUCT_STORE = _BoundedLRU(PRODUCT_STORE_ENTRIES, len)
 
 #: the memos of the active :func:`_series_scope`, one per (q, tolerance);
 #: None outside a scope.  A context variable, so concurrent scopes in other

@@ -22,11 +22,13 @@ function of :mod:`qfrac.gronwall`.
 (:func:`qfrac.special._series_scope`): at each q, every Mittag-Leffler
 power sequence and Mittag-Leffler value the suites ask for is evaluated
 once per call, and the memos are dropped when the call returns or raises.
-Their q-product factors are kept beyond the call, in the bounded
-process-wide store :data:`qfrac.special._PRODUCT_STORE`, so each is
-evaluated once per process while the store holds it.  A value read from a
-memo or the store is the float a fresh evaluation gives, so reports do not
-depend on the scope or on what the store holds.
+Two process-wide caches outlive the call, each a
+:class:`qfrac.qcore._BoundedLRU`: the q-product factors, in
+:data:`qfrac.special._PRODUCT_STORE`, bounded by entries, and the kernels,
+in :data:`qfrac.operators._KERNEL_CACHE`, bounded by bytes.  So each factor
+and kernel is evaluated once per process while its cache holds it.  A value
+read from a memo or a cache is the float a fresh evaluation gives, so
+reports do not depend on the scope or on what the caches hold.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .gronwall import (
     GronwallInput,
     _block_rows,
     _gronwall_bound_block,
+    _linear_rows,
     _ml_per_point,
     _q_gronwall_classical_block,
     _ulp_distance,
@@ -66,7 +69,6 @@ from .qcore import (
 from .solver import (
     LinearIVP,
     NonlinearIVP,
-    forward_substitution,
     solve_linear_closed,
     solve_linear_iterative,
     solve_marching,
@@ -269,21 +271,6 @@ def suite_ratio(seed: int, cases: int | None = None):
     return n_cases, failures, errors
 
 
-def _march_nonneg(kernel, mu: GridFn, v_a: float, raw_slack: np.ndarray) -> GridFn:
-    """March v = v_a + I^alpha(mu v) - slack with slack clamped so v stays
-    nonnegative (slack_i <= accumulated history), preserving the inequality.
-    :func:`qfrac.gronwall._block_rows` with ``clamp`` marches a block of such
-    cases."""
-    c = mu.values.tolist()
-    slack = raw_slack.tolist()
-
-    def row(i: int, known: float, d: float) -> tuple[float, float]:
-        y_i = (known - min(slack[i], known)) / (1.0 - d * c[i])
-        return y_i, c[i] * y_i
-
-    return GridFn._owned(kernel.grid, forward_substitution(kernel, v_a, row))
-
-
 def _draws(seed: int, suite_id: int, cases: int, width: int) -> np.ndarray:
     """The first ``cases`` cases of a parameter combination's stream, one
     column per case and ``width`` uniform [0, 1) draws per case.
@@ -404,9 +391,10 @@ def suite_corollary(seed: int, cases: int | None = None):
     for lam in (0.3, 0.9, 1.8):
         n_cases += 1
         delta = GridFn.constant(grid, lam)
-        v = _march_nonneg(kernel, delta, float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 1.0, n))
+        v_a = float(rng.uniform(0.5, 2.0))
+        slack = rng.uniform(0.0, 1.0, n)
+        v = GridFn._owned(grid, _linear_rows(kernel, delta.values, v_a, slack, clamp=True))
         result = q_gronwall_classical(v, delta, 0)
-        v_a = float(v.values[0])
         ml = _ml_per_point(grid, 0, 1.0, lam, DEFAULT_TOL)
         bound = result.bound.values.tolist()
         worst = max([0.0] + [_rel_err(b, v_a * m) for b, m in zip(bound, ml)])

@@ -26,6 +26,7 @@ from qfrac.qcore import (
     DEFAULT_TOL,
     FracOrder,
     GridFn,
+    _BoundedLRU,
     gamma_q,
     make_grid,
     q_bracket,
@@ -145,8 +146,8 @@ def test_kernel_cache_reuses_read_only_kernels_and_evicts():
     while filled <= KERNEL_CACHE_BYTES:
         filled += operators._kernel_bytes(build_kernel(make_grid(Q, 40, n), 0, FracOrder(0.5)))
         n += 1
-    assert cache.nbytes <= KERNEL_CACHE_BYTES
-    assert cache.nbytes == sum(map(operators._kernel_bytes, cache._kernels.values()))
+    assert cache.total() <= KERNEL_CACHE_BYTES
+    assert cache.total() == sum(map(operators._kernel_bytes, cache._items.values()))
     rebuilt = build_kernel(GRID, 0, FracOrder(0.5))
     assert rebuilt is not k
     assert np.array_equal(rebuilt.weights, k.weights)
@@ -167,12 +168,12 @@ def test_kernel_bytes_track_the_memory_of_the_row_views():
 
 
 def test_kernel_cache_keeps_the_newest_kernel_past_its_budget(monkeypatch):
-    monkeypatch.setattr(operators, "_KERNEL_CACHE", operators._KernelCache(1))
+    monkeypatch.setattr(operators, "_KERNEL_CACHE", _BoundedLRU(1, operators._kernel_bytes))
     k = build_kernel(GRID, 0, FracOrder(0.5))
     assert build_kernel(GRID, 0, FracOrder(0.5)) is k
     other = build_kernel(GRID, 0, FracOrder(0.25))
-    assert len(operators._KERNEL_CACHE._kernels) == 1
-    assert operators._KERNEL_CACHE.nbytes == operators._kernel_bytes(other)
+    assert len(operators._KERNEL_CACHE._items) == 1
+    assert operators._KERNEL_CACHE.total() == operators._kernel_bytes(other)
     assert build_kernel(GRID, 0, FracOrder(0.25)) is other
     assert build_kernel(GRID, 0, FracOrder(0.5)) is not k
 
@@ -182,7 +183,7 @@ def test_kernel_cache_under_concurrent_callers(monkeypatch):
     keys = [(make_grid(Q, 7 + m, 10), al) for m in range(3) for al in (0.3, 0.6)]
     want = {key: operators._build_kernel(key[0], 0, key[1], DEFAULT_TOL).weights for key in keys}
     budget = 2 * operators._kernel_bytes(build_kernel(GRID, 0, FracOrder(0.5)))
-    cache = operators._KernelCache(budget)
+    cache = _BoundedLRU(budget, operators._kernel_bytes)
     monkeypatch.setattr(operators, "_KERNEL_CACHE", cache)
     wrong: list[tuple] = []
 
@@ -204,8 +205,8 @@ def test_kernel_cache_under_concurrent_callers(monkeypatch):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert cache.nbytes == sum(map(operators._kernel_bytes, cache._kernels.values()))
-    assert cache.nbytes <= budget
+    assert cache.total() == sum(map(operators._kernel_bytes, cache._items.values()))
+    assert cache.total() <= budget
 
 
 def test_kernel_diagonal_identity():

@@ -1,4 +1,7 @@
-"""Tests for grids, q-arithmetic, factorial powers and the q-Gamma function."""
+"""Tests for grids, q-arithmetic, factorial powers, the q-Gamma function and
+the bounded LRU cache."""
+import threading
+
 import hypothesis
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from qfrac.qcore import (
     q_bracket,
     q_factorial_power,
     q_pochhammer,
+    _BoundedLRU,
     _gamma_q_cached,
 )
 
@@ -355,3 +359,53 @@ def test_gamma_q_cache_is_consistent_across_threads():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda a: gamma_q(*a), args))
     assert results == [gamma_q(a, q) for a, q in args]
+
+
+# -------------------------------------------------------------- _BoundedLRU
+
+def _never():
+    raise AssertionError("a hit must not build")
+
+
+def test_bounded_lru_contract():
+    cache = _BoundedLRU(3, len)
+    a, b, c = (cache.get(key, lambda: [0]) for key in "abc")
+    assert cache.get("a", _never) is a  # a hit makes "a" the newest
+    cache.get("d", lambda: [0])  # evicts "b", the least recently used
+    assert list(cache._items) == ["c", "a", "d"] and cache.total() == 3
+    # a value grows after it was handed out: the next trim counts the growth
+    a.extend([0, 0])
+    assert cache.total() == 5
+    cache.trim()  # drops "c", then "a", the oldest first
+    assert list(cache._items) == ["d"]
+    # an insert keeps the newest value, even when it alone exceeds the budget
+    big = cache.get("e", lambda: [0] * 5)
+    assert list(cache._items) == ["e"] and cache.get("e", _never) is big
+    # trim() enforces the budget fully, even if that empties the cache
+    cache.trim()
+    assert cache.total() == 0 and not cache._items
+
+    # callers that miss the same key at once all get the value stored first
+    workers = 4
+    built: list[list[int]] = []
+    got: list = [None] * workers
+    all_missed = threading.Barrier(workers, timeout=30)
+
+    def make():
+        value = [len(built)]
+        built.append(value)
+        all_missed.wait()  # no caller stores before every caller has built
+        return value
+
+    def run(slot):
+        got[slot] = cache.get("k", make)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == workers
+    assert all(value is got[0] for value in got) and any(v is got[0] for v in built)
+    assert cache.get("k", _never) is got[0]

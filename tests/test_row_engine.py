@@ -182,11 +182,11 @@ def test_linear_rows_are_bit_identical_to_numpy_rows(q, alpha, a_index):
 
     raw_slack = rng.uniform(0.0, 3.0, grid.count)  # often above the history
 
-    def clamped(i, known, d):  # verify._march_nonneg's row on numpy scalars
+    def clamped(i, known, d):  # the clamped row of _linear_rows on numpy scalars
         y_i = (known - min(raw_slack[i], known)) / (1.0 - d * mu[i])
         return y_i, mu[i] * y_i
 
-    got = verify._march_nonneg(kernel, GridFn(grid, mu), 1.5, raw_slack).values
+    got = _linear_rows(kernel, mu, 1.5, raw_slack, clamp=True)
     assert got.tobytes() == numpy_forward_substitution(kernel, 1.5, clamped).tobytes()
     assert np.any(got == 0.0)  # the clamp was active
 
@@ -293,8 +293,8 @@ def _owned_results(grid, kernel, mu):
     yield "march_integral_equation", v, [mu.values]
     bound = gronwall_bound(GronwallInput(v=v, mu=mu, alpha=alpha, a_index=0)).bound
     yield "gronwall_bound", bound, [v.values, mu.values]
-    yield "_march_nonneg", verify._march_nonneg(kernel, mu, 1.0, np.zeros(grid.count)), [
-        mu.values]
+    clamped = _linear_rows(kernel, mu.values, 1.0, np.zeros(grid.count), clamp=True)
+    yield "_linear_rows(clamp=True)", GridFn._owned(grid, clamped), [mu.values]
     forcing = GridFn(grid, grid.t)
     linear = LinearIVP(alpha=alpha, lam=0.3, a_index=0, y0=1.0, forcing=forcing)
     for solve in (solve_linear_closed, solve_linear_iterative):
@@ -354,13 +354,13 @@ def test_suite_products_outlive_the_call(monkeypatch):
     monkeypatch.setattr(qcore, "_product_factor", counted)
     monkeypatch.setattr(special, "_SeriesMemo", Counting)  # what run_suite's scope makes
     for name in ("lemma1", "powerrule"):
-        store = special._ProductStore(special.PRODUCT_STORE_ENTRIES)
+        store = qcore._BoundedLRU(special.PRODUCT_STORE_ENTRIES, len)
         monkeypatch.setattr(special, "_PRODUCT_STORE", store)  # a cleared store
         evaluated.clear()
         verify.run_suite(name, 1)
         first = len(evaluated)
         assert first > 0
         assert first == len(set(evaluated))  # each distinct factor evaluated once
-        assert store.entries() >= first
+        assert store.total() >= first
         verify.run_suite(name, 1)
         assert len(evaluated) == first  # the next call reads every factor from the store

@@ -235,41 +235,41 @@ def test_concurrent_run_suite_calls_keep_their_own_scopes():
 
 
 def _fresh_store(monkeypatch, budget=special.PRODUCT_STORE_ENTRIES):
-    store = special._ProductStore(budget)
+    store = qcore._BoundedLRU(budget, len)
     monkeypatch.setattr(special, "_PRODUCT_STORE", store)
     return store
 
 
-class _EvictionCounting(special._ProductStore):
+class _EvictionCounting(qcore._BoundedLRU):
     """A store that counts the tables evicted while a scope asks for tables."""
 
     evicted = 0
 
-    def table(self, q, max_terms, nu):
-        before = set(self._tables)
-        table = super().table(q, max_terms, nu)
-        self.evicted += len(before - set(self._tables))
+    def get(self, key, make):
+        before = set(self._items)
+        table = super().get(key, make)
+        self.evicted += len(before - set(self._items))
         return table
 
 
 @pytest.mark.parametrize("state", ["cold", "warm", "evicting"])
 def test_reports_do_not_depend_on_the_product_store(monkeypatch, state):
     budget = 8 if state == "evicting" else special.PRODUCT_STORE_ENTRIES
-    store = _EvictionCounting(budget)
+    store = _EvictionCounting(budget, len)
     monkeypatch.setattr(special, "_PRODUCT_STORE", store)
     if state == "warm":
         for seed in range(100, 120):
             run_suite("all", seed=seed)
-        assert store.entries() > 1000
+        assert store.total() > 1000
     evicted = 0
     for entry in GOLDEN:
         if state == "cold":
-            store = _EvictionCounting(budget)
+            store = _EvictionCounting(budget, len)
             monkeypatch.setattr(special, "_PRODUCT_STORE", store)
         store.evicted = 0
         report = run_suite(entry["suite"], seed=entry["seed"], cases=entry["cases"])
         assert json.dumps(report, sort_keys=True) == entry["report"], entry["suite"]
-        assert store.entries() <= budget
+        assert store.total() <= budget
         evicted += store.evicted
     # only the 8-entry store evicts while a call runs
     assert (evicted > 0) == (state == "evicting")
@@ -286,16 +286,16 @@ def test_a_warm_store_serves_most_factors(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(qcore, "_product_factor", counting)
-    first = store.entries()
+    first = store.total()
     assert json.dumps(run_suite("all", seed=7), sort_keys=True) == _golden("all")
     # seed 7 needs only a few factors that seed 21 did not
-    assert 0 < len(evaluated) == store.entries() - first < 200
+    assert 0 < len(evaluated) == store.total() - first < 200
 
 
 def test_calls_outside_a_scope_leave_the_store_alone(monkeypatch):
     store = _fresh_store(monkeypatch)
     asked = []
-    monkeypatch.setattr(store, "table", lambda *key: asked.append(key))
+    monkeypatch.setattr(store, "get", lambda *key: asked.append(key))
     monkeypatch.setattr(store, "trim", lambda: asked.append("trim"))
     grid = make_grid(0.5, 11, 12)
     solve_linear_closed(_solver_problems()[0.5, 0.5, 0.2])
@@ -303,39 +303,7 @@ def test_calls_outside_a_scope_leave_the_store_alone(monkeypatch):
     gronwall._ml_per_point(grid, 0, 0.5, 0.3, DEFAULT_TOL)
     gronwall._ml_bound_factor(grid, 0, FracOrder(0.5), 0.3, DEFAULT_TOL)
     assert asked == []
-    assert store.entries() == 0
-
-
-def test_dependence_checks_its_bound_factor_once_per_call(monkeypatch):
-    checks = []
-    rows = gronwall._linear_rows
-
-    def counting(kernel, coeff, y_a):
-        checks.append((kernel.grid, kernel.a_index, tuple(coeff), y_a))
-        return rows(kernel, coeff, y_a)
-
-    monkeypatch.setattr(gronwall, "_linear_rows", counting)
-    for _ in range(2):  # once per call, not once per process
-        checks.clear()
-        assert json.dumps(run_suite("dependence", seed=7), sort_keys=True) == _golden("dependence")
-        assert len(checks) == 1
-    # outside a scope each experiment runs its own check
-    grid, alpha = make_grid(0.5, 11, 12), FracOrder(0.5)
-    checks.clear()
-    for _ in range(2):
-        factor = gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL)
-        assert factor.flags.writeable
-    assert len(checks) == 2
-    with _series_scope():
-        shared = gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL)
-        assert gronwall._ml_bound_factor(grid, 0, alpha, 0.5, DEFAULT_TOL) is shared
-        assert not shared.flags.writeable
-        assert np.array_equal(shared, factor)
-        # another window, order or lambda is a check of its own
-        gronwall._ml_bound_factor(grid, 1, alpha, 0.5, DEFAULT_TOL)
-        gronwall._ml_bound_factor(grid, 0, FracOrder(0.6), 0.5, DEFAULT_TOL)
-        gronwall._ml_bound_factor(grid, 0, alpha, 0.4, DEFAULT_TOL)
-    assert len(checks) == 6
+    assert store.total() == 0
 
 
 @pytest.mark.parametrize("budget", [special.PRODUCT_STORE_ENTRIES, 8])
@@ -362,7 +330,7 @@ def test_concurrent_run_suite_calls_share_one_store(monkeypatch, budget):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert reports == [_golden("all")] * workers
-    assert store.entries() <= budget
+    assert store.total() <= budget
     _assert_no_scope_left()
 
 
@@ -383,7 +351,7 @@ def test_store_bytes_per_entry_match_the_documented_figure(monkeypatch):
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    entries = store.entries()
+    entries = store.total()
     assert entries > 1000
     assert 0.75 * _ENTRY_BYTES <= retained / entries <= 1.25 * _ENTRY_BYTES
     # so a full store stays under half a megabyte

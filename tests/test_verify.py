@@ -9,7 +9,7 @@ import pytest
 
 from qfrac import gronwall, operators, verify
 from qfrac.errors import DomainError
-from qfrac.qcore import FracOrder, _gamma_q_cached, make_grid
+from qfrac.qcore import FracOrder, _BoundedLRU, _gamma_q_cached, make_grid
 from qfrac.verify import run_suite
 
 FIXED_TABLE = ("gamma", "powerrule", "solver", "ratio", "dependence")
@@ -20,7 +20,7 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_reports_scheme2.js
 
 
 def _fresh_kernel_cache(monkeypatch, budget=operators.KERNEL_CACHE_BYTES):
-    cache = operators._KernelCache(budget)
+    cache = _BoundedLRU(budget, operators._kernel_bytes)
     monkeypatch.setattr(operators, "_KERNEL_CACHE", cache)
     return cache
 
@@ -185,7 +185,7 @@ def test_reports_do_not_depend_on_the_kernel_cache(monkeypatch):
     warm = json.dumps(run_suite("all", seed=5), sort_keys=True)
     one = _fresh_kernel_cache(monkeypatch, budget=1)
     one_kernel = json.dumps(run_suite("all", seed=5), sort_keys=True)
-    assert len(one._kernels) == 1
+    assert len(one._items) == 1
     assert cold == warm == one_kernel
 
 
