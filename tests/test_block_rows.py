@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from qfrac.errors import DivergenceError, DomainError, PreconditionError
+from qfrac.errors import DivergenceError, DomainError, PreconditionError, QFracError
 from qfrac.gronwall import (
     BLOCK_ULPS,
     ComparisonInput,
@@ -203,6 +203,63 @@ def test_block_errors_are_the_public_ones_and_name_the_case(kind):
     for k in (0, 2):  # the other columns are clean
         gronwall_bound(GronwallInput(v=GridFn(grid, v[:, k]), mu=GridFn(grid, mu[:, k]),
                                      alpha=order, a_index=0))
+
+
+#: the public error text of each kind of failure; a block raises the same
+#: class and indices with "case k: " in front of the same text
+PUBLIC_MESSAGES = {
+    "ceiling": (PreconditionError, "mu violates the strict admissibility ceiling at indices [4]", (4,)),
+    "diagonal": (PreconditionError, "diagonal factor 1 - W_ii coeff_i not positive at indices [2]", (2,)),
+    "divergence": (DivergenceError,
+                   "comparison series reaches 2.90212e+102 at grid index 39, beyond 1e+100", None),
+    "overflow": (DivergenceError, "bound v(a) * series overflows with v(a) = 1e+308", None),
+    "nonfinite": (DomainError, "v and mu must be finite", None),
+    "negative": (DomainError, "coefficient mu must be nonnegative", None),
+    "comparison_nonfinite": (DomainError, "w, v and x must be finite", None),
+    "comparison_product": (DomainError, "grid function values must be finite", None),
+    "delta": (PreconditionError,
+              "delta must satisfy 0 <= delta < 1/(1-q); offending indices [3, 5]", (3, 5)),
+}
+
+
+def _public_and_block_calls(kind):
+    """(public call, block call, failing case) for one kind of failure."""
+    if kind in ("comparison_nonfinite", "comparison_product"):
+        grid = _window(0.5, 12)
+        order = FracOrder(0.5)
+        x = np.stack([0.5 * sart_bound(grid, order)] * 3, axis=1)
+        w, v = np.ones((grid.count, 3)), np.ones((grid.count, 3))
+        # NaN reaches ComparisonInput's check; 1e308 * x overflows in x * w
+        w[7, 2] = math.nan if kind == "comparison_nonfinite" else 1e308
+        fns = [GridFn._owned(grid, a[:, 2].copy()) for a in (w, v, x)]
+        return (lambda: verify_comparison(ComparisonInput(*fns, alpha=order, a_index=0)),
+                lambda: _verify_comparison_block(grid, w, v, x, order, 0), 2)
+    if kind == "delta":
+        grid = _window(0.5, 12)
+        delta = np.full((grid.count, 3), 0.5)
+        delta[3, 1] = 1.0 / (1.0 - grid.q)
+        delta[5, 1] = -1e-4
+        v = np.ones_like(delta)
+        return (lambda: q_gronwall_classical(GridFn(grid, v[:, 1]), GridFn(grid, delta[:, 1]), 0),
+                lambda: _q_gronwall_classical_block(grid, v, delta, 0), 1)
+    grid, order, v, mu, _, _ = _bad_case(kind)
+    return (lambda: gronwall_bound(GronwallInput(v=GridFn._owned(grid, v[:, 1].copy()),
+                                                 mu=GridFn._owned(grid, mu[:, 1].copy()),
+                                                 alpha=order, a_index=0)),
+            lambda: _gronwall_bound_block(grid, v, mu, order, 0), 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", list(PUBLIC_MESSAGES))
+def test_error_messages_are_the_public_text_with_the_case_in_front(kind):
+    error, text, indices = PUBLIC_MESSAGES[kind]
+    public, block, k = _public_and_block_calls(kind)
+    for call, want in ((public, text), (block, f"case {k}: {text}")):
+        with pytest.raises(QFracError) as exc:
+            call()
+        assert type(exc.value) is error
+        assert str(exc.value) == want
+        assert getattr(exc.value, "indices", None) == indices
 
 
 def test_comparison_and_order_one_block_errors_name_the_case():
