@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PreconditionError, QFracError
-from .operators import OmegaOp, OperatorKernel, build_kernel, omega_apply
+from .operators import OperatorKernel, build_kernel
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
 from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
@@ -90,16 +90,7 @@ class GronwallInput:
     def __post_init__(self) -> None:
         if self.v.grid != self.mu.grid:
             raise DomainError("v and mu must live on the same grid")
-        if self.alpha.alpha > 1.0:
-            raise DomainError("the bound is stated for orders in (0, 1]")
-        if not 0 <= self.a_index < self.v.grid.count:
-            raise DomainError(f"a_index {self.a_index} outside grid")
-        finite = np.count_nonzero(np.isfinite(self.v.values))
-        finite += np.count_nonzero(np.isfinite(self.mu.values))
-        if finite != 2 * self.v.grid.count:
-            raise DomainError("v and mu must be finite")
-        if np.count_nonzero(self.mu.values < 0.0):
-            raise DomainError("coefficient mu must be nonnegative")
+        _check_bound_input(self.v.grid, self.v.values, self.mu.values, self.alpha, self.a_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +106,42 @@ def _first_case(flags: np.ndarray) -> int:
     a True entry, -1 when none has."""
     hit = np.flatnonzero(flags.any(axis=0) if flags.ndim == 2 else flags)
     return int(hit[0]) if hit.size else -1
+
+
+def _require(ok: np.ndarray, block: bool, error: type[QFracError], message) -> None:
+    """Raise ``error`` unless every entry of ``ok`` is True.
+
+    ``ok`` holds one case's flags, per point (N,) or for the whole case (a
+    scalar), or for a block the same with a trailing axis of K cases; the
+    clean path is one ``count_nonzero``.  On failure the index ``at`` picks
+    the first failing case, ``...`` for one case and ``(..., k)`` for case k
+    of a block, whose message then starts with "case k: ".  ``message`` is
+    the text, or a function of ``at`` and the list ``bad`` of the case's
+    failing points; a PreconditionError carries ``bad`` as its indices.
+    """
+    if np.count_nonzero(ok) == ok.size:
+        return
+    prefix, at = "", ...
+    if block:
+        k = _first_case(~ok)
+        prefix, at = f"case {k}: ", (..., k)
+    bad = np.flatnonzero(~ok[at]).tolist()
+    text = prefix + (message if isinstance(message, str) else message(at, bad))
+    raise error(text, indices=tuple(bad)) if error is PreconditionError else error(text)
+
+
+def _check_bound_input(
+    grid: QGrid, v: np.ndarray, mu: np.ndarray, alpha: FracOrder, a_index: int
+) -> None:
+    """The checks of :class:`GronwallInput` on the (N,) arrays of one case or
+    the (N, K) arrays of K cases, one column each."""
+    if alpha.alpha > 1.0:
+        raise DomainError("the bound is stated for orders in (0, 1]")
+    if not 0 <= a_index < grid.count:
+        raise DomainError(f"a_index {a_index} outside grid")
+    block = mu.ndim == 2
+    _require(np.isfinite(v) & np.isfinite(mu), block, DomainError, "v and mu must be finite")
+    _require(mu >= 0.0, block, DomainError, "coefficient mu must be nonnegative")
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +240,57 @@ def _block_rows(
     return forward_substitution(kernel, np.asarray(y_a, dtype=float), row)
 
 
+def _bound_cases(
+    grid: QGrid,
+    v: np.ndarray,
+    mu: np.ndarray,
+    alpha: FracOrder,
+    a_index: int,
+    tol: Tolerance = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """v(a) times the comparison series, and the worst excess of v over it
+    from the lower limit on, for inputs that passed :func:`_check_bound_input`.
+
+    ``v`` and ``mu`` are (N,) for one case, solved by the scalar rows, or
+    (N, K) for K cases, one column each, solved as one block by the block
+    rows whatever K is; the excess is then (K,) and each error names the
+    first failing case.  The checks and errors are those of
+    :func:`gronwall_bound`.  With mu up to 0.98 of the ceiling a block column
+    agrees with the one-case result within :data:`BLOCK_ULPS`.
+    """
+    block = mu.ndim == 2
+    ceiling = sart_bound(grid, alpha)
+    _require(
+        mu < (ceiling[:, None] if block else ceiling), block, PreconditionError,
+        lambda at, bad: f"mu violates the strict admissibility ceiling at indices {bad}",
+    )
+    kernel = build_kernel(grid, a_index, alpha, tol)
+    u = _block_rows(kernel, mu, np.ones(mu.shape[1])) if block else _linear_rows(kernel, mu, 1.0)
+    u_max = u.max(axis=0)
+
+    def diverges(at, bad) -> str:
+        i = int(np.argmin(u[at] <= DIVERGENCE_LIMIT))
+        return (f"comparison series reaches {float(u[at][i]):.6g} at grid index {i}, "
+                f"beyond {DIVERGENCE_LIMIT:g}")
+
+    _require(u_max <= DIVERGENCE_LIMIT, block, DivergenceError, diverges)
+    # u >= 1, so v(a) * u overflows exactly where |v(a)| * max(u) does; test
+    # that first, on floats for one case, so that numpy never warns about it
+    v_a = v[a_index]
+    if block:
+        with np.errstate(over="ignore"):
+            fits = np.abs(v_a) * u_max < math.inf
+    else:
+        fits = np.bool_(abs(float(v_a)) * float(u_max) < math.inf)
+    _require(
+        fits, block, DivergenceError,
+        lambda at, bad: f"bound v(a) * series overflows with v(a) = {float(v_a[at])!r}",
+    )
+    bound = v_a * u
+    worst = (v[a_index:] - bound[a_index:]).max(axis=0)
+    return bound, np.where(worst <= 0.0, 0.0, worst)
+
+
 def gronwall_bound(
     inp: GronwallInput, tol: Tolerance = DEFAULT_TOL, max_terms: int = 2048
 ) -> BoundResult:
@@ -225,100 +303,22 @@ def gronwall_bound(
     v(a) * u from one forward substitution: exact up to rounding, where any
     truncated partial sum would lie below it.  ``tol`` sets the kernel's
     product truncation; ``terms_used`` counts the rows solved above the
-    lower limit.  A computed diagonal factor 1 - W[i,i] mu[i] <= 0 raises
-    PreconditionError; a series value above 1e100, or a non-finite bound,
-    raises DivergenceError instead of returning a useless bound.
-    ``max_terms`` is deprecated and ignored; it is still accepted so that
-    callers passing it keep working.
+    lower limit.  A mu on or above the strict ceiling, or a computed
+    diagonal factor 1 - W[i,i] mu[i] <= 0, raises PreconditionError; a
+    series value above 1e100, or a non-finite bound, raises DivergenceError
+    instead of returning a useless bound.  ``max_terms`` is deprecated and
+    ignored; it is still accepted so that callers passing it keep working.
     """
-    flags = check_sart(inp.mu, inp.alpha, strict=True)
-    if np.count_nonzero(flags) != flags.size:
-        bad = tuple(int(i) for i in np.flatnonzero(~flags))
-        raise PreconditionError(
-            f"mu violates the strict admissibility ceiling at indices {list(bad)}",
-            indices=bad,
-        )
     grid = inp.v.grid
-    kernel = build_kernel(grid, inp.a_index, inp.alpha, tol)
-    v_a = float(inp.v.values[inp.a_index])
-    u = _linear_rows(kernel, inp.mu.values, 1.0)
-    u_max = float(u.max())
-    if not u_max <= DIVERGENCE_LIMIT:
-        i = int(np.argmin(u <= DIVERGENCE_LIMIT))
-        raise DivergenceError(
-            f"comparison series reaches {float(u[i]):.6g} at grid index {i}, "
-            f"beyond {DIVERGENCE_LIMIT:g}"
-        )
-    # u >= 1, so v(a) * u overflows exactly where |v(a)| * max(u) does; test
-    # that on floats first, so that numpy never warns about the overflow
-    if abs(v_a) * u_max == math.inf:
-        raise DivergenceError(f"bound v(a) * series overflows with v(a) = {v_a!r}")
-    bound_vals = v_a * u
-    satisfied = inp.v.values <= bound_vals
+    bound, worst = _bound_cases(grid, inp.v.values, inp.mu.values, inp.alpha, inp.a_index, tol)
+    satisfied = inp.v.values <= bound
     satisfied[: inp.a_index] = True
-    excess = inp.v.values[inp.a_index :] - bound_vals[inp.a_index :]
     return BoundResult(
-        bound=GridFn._owned(grid, bound_vals),
+        bound=GridFn._owned(grid, bound),
         terms_used=grid.count - inp.a_index - 1,
         satisfied=satisfied,
-        max_violation=_worst_excess(excess),
+        max_violation=float(worst),
     )
-
-
-def _gronwall_bound_block(
-    grid: QGrid,
-    v: np.ndarray,
-    mu: np.ndarray,
-    alpha: FracOrder,
-    a_index: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gronwall_bound` for K instances on one window, solved as one block.
-
-    ``v`` and ``mu`` are (N, K), one column per case.  Every case passes the
-    checks of :class:`GronwallInput` and :func:`gronwall_bound` and raises
-    their error classes, with the first failing case named in the message.
-    Returns the (N, K) bounds and the (K,) maximum violations.  With mu up
-    to 0.98 of the ceiling a column agrees with the public function within
-    :data:`BLOCK_ULPS`.
-    """
-    if alpha.alpha > 1.0:
-        raise DomainError("the bound is stated for orders in (0, 1]")
-    if not 0 <= a_index < grid.count:
-        raise DomainError(f"a_index {a_index} outside grid")
-    k = _first_case(~(np.isfinite(v) & np.isfinite(mu)))
-    if k >= 0:
-        raise DomainError(f"case {k}: v and mu must be finite")
-    k = _first_case(mu < 0.0)
-    if k >= 0:
-        raise DomainError(f"case {k}: coefficient mu must be nonnegative")
-    above = mu >= sart_bound(grid, alpha)[:, None]
-    k = _first_case(above)
-    if k >= 0:
-        bad = tuple(int(i) for i in np.flatnonzero(above[:, k]))
-        raise PreconditionError(
-            f"case {k}: mu violates the strict admissibility ceiling at indices {list(bad)}",
-            indices=bad,
-        )
-    kernel = build_kernel(grid, a_index, alpha)
-    u = _block_rows(kernel, mu, np.ones(mu.shape[1]))
-    u_max = u.max(axis=0)
-    k = _first_case(~(u_max <= DIVERGENCE_LIMIT))
-    if k >= 0:
-        i = int(np.argmin(u[:, k] <= DIVERGENCE_LIMIT))
-        raise DivergenceError(
-            f"case {k}: comparison series reaches {float(u[i, k]):.6g} at grid index {i}, "
-            f"beyond {DIVERGENCE_LIMIT:g}"
-        )
-    v_a = v[a_index]
-    with np.errstate(over="ignore"):
-        k = _first_case(np.abs(v_a) * u_max == math.inf)
-    if k >= 0:
-        raise DivergenceError(
-            f"case {k}: bound v(a) * series overflows with v(a) = {float(v_a[k])!r}"
-        )
-    bound = v_a * u
-    worst = (v[a_index:] - bound[a_index:]).max(axis=0)
-    return bound, np.where(worst <= 0.0, 0.0, worst)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,12 +334,22 @@ class ComparisonInput:
     def __post_init__(self) -> None:
         if not (self.w.grid == self.v.grid == self.x.grid):
             raise DomainError("w, v and x must live on the same grid")
-        if self.alpha.alpha > 1.0:
-            raise DomainError("the comparison check is stated for orders in (0, 1]")
-        if not 0 <= self.a_index < self.w.grid.count:
-            raise DomainError(f"a_index {self.a_index} outside grid")
-        if not np.isfinite(np.concatenate((self.w.values, self.v.values, self.x.values))).all():
-            raise DomainError("w, v and x must be finite")
+        _check_comparison_input(
+            self.w.grid, self.w.values, self.v.values, self.x.values, self.alpha, self.a_index
+        )
+
+
+def _check_comparison_input(
+    grid: QGrid, w: np.ndarray, v: np.ndarray, x: np.ndarray, alpha: FracOrder, a_index: int
+) -> None:
+    """The checks of :class:`ComparisonInput` on the (N,) arrays of one case
+    or the (N, K) arrays of K cases, one column each."""
+    if alpha.alpha > 1.0:
+        raise DomainError("the comparison check is stated for orders in (0, 1]")
+    if not 0 <= a_index < grid.count:
+        raise DomainError(f"a_index {a_index} outside grid")
+    finite = np.isfinite(w) & np.isfinite(v) & np.isfinite(x)
+    _require(finite, w.ndim == 2, DomainError, "w, v and x must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,6 +370,50 @@ class ComparisonReport:
         return self.holds_super & self.holds_sub & self.holds_admissible & self.holds_initial
 
 
+def _comparison_cases(
+    grid: QGrid,
+    w: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    alpha: FracOrder,
+    a_index: int,
+    tol: float = 1e-12,
+    work_tol: Tolerance = DEFAULT_TOL,
+) -> ComparisonReport:
+    """The outcomes of :func:`verify_comparison` for inputs that passed
+    :func:`_check_comparison_input`.
+
+    ``w``, ``v`` and ``x`` are (N,) for one case, or (N, K) for K cases, one
+    column each; then each field of the report is a (K,) array of the cases'
+    outcomes, and an error names the first failing case.  Each case's
+    fractional integrals are one matrix-vector product, so a case's outcomes
+    do not depend on the block it is in.
+    """
+    block = w.ndim == 2
+    weights = build_kernel(grid, a_index, alpha, work_tol).weights
+    omega = []
+    for phi in (w, v):
+        vals = x * phi
+        _require(np.isfinite(vals), block, DomainError, "grid function values must be finite")
+        vals[: a_index + 1] = 0.0
+        # one product per case: a matrix product's sums would round differently
+        omega.append(np.stack([weights @ col for col in np.ascontiguousarray(vals.T)], axis=1)
+                     if block else weights @ vals)
+    sl = slice(a_index, grid.count)
+    w_a, v_a = w[a_index], v[a_index]
+    ceiling = sart_bound(grid, alpha)
+    holds_super = (w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL).all(axis=0)
+    holds_sub = (v[sl] <= v_a + omega[1][sl] + HYPOTHESIS_TOL).all(axis=0)
+    holds_admissible = ((x >= 0.0) & (x <= (ceiling[:, None] if block else ceiling))).all(axis=0)
+    holds_initial = w_a >= v_a
+    checked = holds_super & holds_sub & holds_admissible & holds_initial
+    worst = (v[sl] - w[sl]).max(axis=0)
+    max_violation = np.where(checked, np.where(worst <= 0.0, 0.0, worst), math.nan)
+    outcomes = (holds_super, holds_sub, holds_admissible, holds_initial,
+                checked, checked & (max_violation <= tol), max_violation)
+    return ComparisonReport(*(outcomes if block else (o.item() for o in outcomes)))
+
+
 def verify_comparison(
     inp: ComparisonInput, tol: float = 1e-12, *, work_tol: Tolerance = DEFAULT_TOL
 ) -> ComparisonReport:
@@ -368,91 +422,11 @@ def verify_comparison(
     Hypothesis inequalities absorb rounding with a fixed 1e-12 slack so that
     equality-case constructions do not report spurious failures; the
     conclusion uses the caller's tol.  The report carries every outcome, and
-    the conclusion is never asserted when a hypothesis fails.
+    the conclusion is never asserted when a hypothesis fails.  A product
+    x * w or x * v that overflows raises DomainError.
     """
-    grid = inp.w.grid
-    kernel = build_kernel(grid, inp.a_index, inp.alpha, work_tol)
-    op = OmegaOp(kernel=kernel, x=inp.x)
-    sl = slice(inp.a_index, grid.count)
-    w_a = float(inp.w.values[inp.a_index])
-    v_a = float(inp.v.values[inp.a_index])
-    omega_w = omega_apply(op, inp.w).values
-    omega_v = omega_apply(op, inp.v).values
-    holds_super = bool((inp.w.values[sl] >= w_a + omega_w[sl] - HYPOTHESIS_TOL).all())
-    holds_sub = bool((inp.v.values[sl] <= v_a + omega_v[sl] + HYPOTHESIS_TOL).all())
-    holds_admissible = bool(check_sart(inp.x, inp.alpha, strict=False).all())
-    holds_initial = bool(w_a >= v_a)
-    checked = holds_super and holds_sub and holds_admissible and holds_initial
-    if checked:
-        max_violation = _worst_excess(inp.v.values[sl] - inp.w.values[sl])
-        conclusion_holds = bool(max_violation <= tol)
-    else:
-        max_violation = math.nan
-        conclusion_holds = False
-    return ComparisonReport(
-        holds_super=holds_super,
-        holds_sub=holds_sub,
-        holds_admissible=holds_admissible,
-        holds_initial=holds_initial,
-        conclusion_checked=checked,
-        conclusion_holds=conclusion_holds,
-        max_violation=max_violation,
-    )
-
-
-def _verify_comparison_block(
-    grid: QGrid,
-    w: np.ndarray,
-    v: np.ndarray,
-    x: np.ndarray,
-    alpha: FracOrder,
-    a_index: int,
-) -> ComparisonReport:
-    """:func:`verify_comparison` for K pairs on one window, checked as one block.
-
-    ``w``, ``v`` and ``x`` are (N, K), one column per case.  Every case passes
-    the checks of :class:`ComparisonInput` and raises their error classes,
-    with the first failing case named in the message.  Each field of the
-    returned report is a (K,) array with the per-case outcome of the same
-    name.  Each case's fractional integrals are the matrix-vector products
-    of :func:`omega_apply`, so every outcome is the public function's, bit
-    for bit; the conclusion is checked at its default ``tol``, 1e-12.
-    """
-    if alpha.alpha > 1.0:
-        raise DomainError("the comparison check is stated for orders in (0, 1]")
-    if not 0 <= a_index < grid.count:
-        raise DomainError(f"a_index {a_index} outside grid")
-    k = _first_case(~(np.isfinite(w) & np.isfinite(v) & np.isfinite(x)))
-    if k >= 0:
-        raise DomainError(f"case {k}: w, v and x must be finite")
-    weights = build_kernel(grid, a_index, alpha).weights
-    omega = []
-    for phi in (w, v):
-        vals = x * phi
-        k = _first_case(np.isinf(vals))
-        if k >= 0:
-            raise DomainError(f"case {k}: grid function values must be finite")
-        vals[: a_index + 1] = 0.0
-        # one product per case: a matrix product's sums would round differently
-        omega.append(np.stack([weights @ col for col in np.ascontiguousarray(vals.T)], axis=1))
-    sl = slice(a_index, grid.count)
-    w_a, v_a = w[a_index], v[a_index]
-    holds_super = (w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL).all(axis=0)
-    holds_sub = (v[sl] <= v_a + omega[1][sl] + HYPOTHESIS_TOL).all(axis=0)
-    holds_admissible = ((x >= 0.0) & (x <= sart_bound(grid, alpha)[:, None])).all(axis=0)
-    holds_initial = w_a >= v_a
-    checked = holds_super & holds_sub & holds_admissible & holds_initial
-    worst = (v[sl] - w[sl]).max(axis=0)
-    max_violation = np.where(checked, np.where(worst <= 0.0, 0.0, worst), math.nan)
-    return ComparisonReport(
-        holds_super=holds_super,
-        holds_sub=holds_sub,
-        holds_admissible=holds_admissible,
-        holds_initial=holds_initial,
-        conclusion_checked=checked,
-        conclusion_holds=checked & (max_violation <= 1e-12),
-        max_violation=max_violation,
-    )
+    return _comparison_cases(inp.w.grid, inp.w.values, inp.v.values, inp.x.values,
+                             inp.alpha, inp.a_index, tol, work_tol)
 
 
 def march_integral_equation(
@@ -477,14 +451,13 @@ def march_integral_equation(
     return GridFn._owned(kernel.grid, _linear_rows(kernel, coeff.values, y_a, slack_values))
 
 
-def _delta_range_error(grid: QGrid, delta: np.ndarray, case: str = "") -> None:
-    """Raise PreconditionError unless 0 <= delta < 1/(1-q) everywhere."""
-    bad = [i for i, d in enumerate(delta.tolist()) if not 0.0 <= d < 1.0 / (1.0 - grid.q)]
-    if bad:
-        raise PreconditionError(
-            f"{case}delta must satisfy 0 <= delta < 1/(1-q); offending indices {bad}",
-            indices=tuple(bad),
-        )
+def _check_delta(grid: QGrid, delta: np.ndarray) -> None:
+    """Raise PreconditionError unless 0 <= delta < 1/(1-q) everywhere, for
+    the (N,) array of one case or the (N, K) array of K cases."""
+    _require(
+        (delta >= 0.0) & (delta < 1.0 / (1.0 - grid.q)), delta.ndim == 2, PreconditionError,
+        lambda at, bad: f"delta must satisfy 0 <= delta < 1/(1-q); offending indices {bad}",
+    )
 
 
 def q_gronwall_classical(
@@ -500,7 +473,7 @@ def q_gronwall_classical(
     order-1 Mittag-Leffler closed form; a disagreement raises.
     """
     grid = v.grid
-    _delta_range_error(grid, delta.values)
+    _check_delta(grid, delta.values)
     inp = GronwallInput(v=v, mu=delta, alpha=FracOrder(1.0), a_index=a_index)
     result = gronwall_bound(inp, tol)
     lam = float(delta.values[0])
@@ -516,20 +489,6 @@ def q_gronwall_classical(
                     f"{got!r} vs {closed!r}"
                 )
     return result
-
-
-def _q_gronwall_classical_block(
-    grid: QGrid, v: np.ndarray, delta: np.ndarray, a_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`q_gronwall_classical` for K instances on one window, solved as
-    one block by :func:`_gronwall_bound_block`; ``v`` and ``delta`` are
-    (N, K), and an error names the first failing case.  It runs no
-    closed-form cross-check for constant delta: the verify suite's constant
-    cases go through the public function."""
-    k = _first_case(~((delta >= 0.0) & (delta < 1.0 / (1.0 - grid.q))))
-    if k >= 0:
-        _delta_range_error(grid, delta[:, k], f"case {k}: ")
-    return _gronwall_bound_block(grid, v, delta, FracOrder(1.0), a_index)
 
 
 @dataclass(frozen=True, eq=False)

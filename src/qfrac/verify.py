@@ -45,12 +45,14 @@ from .gronwall import (
     ComparisonInput,
     GronwallInput,
     _block_rows,
-    _gronwall_bound_block,
+    _bound_cases,
+    _check_bound_input,
+    _check_comparison_input,
+    _check_delta,
+    _comparison_cases,
     _linear_rows,
     _ml_per_point,
-    _q_gronwall_classical_block,
     _ulp_distance,
-    _verify_comparison_block,
     dependence_experiment,
     gronwall_bound,
     q_gronwall_classical,
@@ -311,7 +313,8 @@ def suite_gronwall(seed: int, cases: int | None = None):
         r = _draws(seed, 70 + ci, per_combo, 1 + 2 * n)
         mu = 0.98 * r[1 : n + 1] * ceiling[:, None]
         v = _block_rows(kernel, mu, 2.0 * r[0], r[n + 1 :], clamp=True)
-        bound, violation = _gronwall_bound_block(grid, v, mu, alpha, 0)
+        _check_bound_input(grid, v, mu, alpha, 0)
+        bound, violation = _bound_cases(grid, v, mu, alpha, 0)
         n_cases += per_combo
         _record(errors, "max_violation", max(violation.tolist()))
         tag = f"gronwall q={q} alpha={al}"
@@ -347,7 +350,8 @@ def suite_comparison(seed: int, cases: int | None = None):
         w_a = 0.5 + 1.5 * r[n]
         w = _block_rows(kernel, x, w_a, -(0.5 * r[n + 2 : 2 * n + 2]))
         v = _block_rows(kernel, x, w_a - r[n + 1], 0.5 * r[2 * n + 2 :])
-        report = _verify_comparison_block(grid, w, v, x, alpha, 0)
+        _check_comparison_input(grid, w, v, x, alpha, 0)
+        report = _comparison_cases(grid, w, v, x, alpha, 0)
         n_cases += per_combo
         held = report.all_hypotheses
         if held.any():
@@ -407,7 +411,9 @@ def suite_corollary(seed: int, cases: int | None = None):
     r = _draws(seed, 91, instance_count, 2 * n + 1)
     delta = (0.98 / (1.0 - q)) * r[:n]
     v = _block_rows(kernel, delta, 2.0 * r[n], r[n + 1 :], clamp=True)
-    bound, violation = _q_gronwall_classical_block(grid, v, delta, 0)
+    _check_delta(grid, delta)
+    _check_bound_input(grid, v, delta, alpha, 0)
+    bound, violation = _bound_cases(grid, v, delta, alpha, 0)
     n_cases += instance_count
     _record(errors, "max_violation", max(violation.tolist()))
     for c in np.flatnonzero(violation > 1e-12).tolist():

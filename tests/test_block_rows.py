@@ -1,11 +1,11 @@
 """Block rows: K right-hand sides in one forward substitution.
 
 The verify suites run the cases of a parameter combination as one block,
-through the private block versions of the Gronwall bound, the comparison
-check and the order-1 corollary.  Each block column must agree with the
-public function on the same case within BLOCK_ULPS, raise the public
-function's error class with the failing case named, and be no less accurate
-than the scalar rows against a 50-digit solve.
+through the routines behind the Gronwall bound, the comparison check and the
+order-1 corollary given (N, K) arrays.  Each block column must agree with
+the public function on the same case within BLOCK_ULPS, raise the public
+function's error with the failing case named, and be no less accurate than
+the scalar rows against a 50-digit solve; (N,) arrays take the scalar rows.
 """
 import math
 
@@ -18,11 +18,13 @@ from qfrac.gronwall import (
     ComparisonInput,
     GronwallInput,
     _block_rows,
-    _gronwall_bound_block,
+    _bound_cases,
+    _check_bound_input,
+    _check_comparison_input,
+    _check_delta,
+    _comparison_cases,
     _linear_rows,
-    _q_gronwall_classical_block,
     _ulp_distance,
-    _verify_comparison_block,
     gronwall_bound,
     q_gronwall_classical,
     sart_bound,
@@ -49,6 +51,24 @@ def _random_windows(count, seed, n_max=64, alpha=None):
         al = float(rng.uniform(0.3, 1.0)) if alpha is None else alpha
         a_index = 0 if w % 2 == 0 else int(rng.integers(1, n - 2))
         yield _window(q, n), FracOrder(al), a_index, rng
+
+
+def _gronwall_bound_block(grid, v, mu, order, a_index):
+    """What suite gronwall runs on a block: the input checks, then the bound."""
+    _check_bound_input(grid, v, mu, order, a_index)
+    return _bound_cases(grid, v, mu, order, a_index)
+
+
+def _verify_comparison_block(grid, w, v, x, order, a_index):
+    """What suite comparison runs on a block."""
+    _check_comparison_input(grid, w, v, x, order, a_index)
+    return _comparison_cases(grid, w, v, x, order, a_index)
+
+
+def _q_gronwall_classical_block(grid, v, delta, a_index):
+    """What suite corollary runs on its block of random cases."""
+    _check_delta(grid, delta)
+    return _gronwall_bound_block(grid, v, delta, FracOrder(1.0), a_index)
 
 
 def _bound_agrees(grid, v, mu, order, a_index, bound, violation):
@@ -137,6 +157,35 @@ def test_block_of_one_case():
     w = _block_rows(kernel, mu, np.array([1.5]), -np.full((grid.count, 1), 0.1))
     report = _verify_comparison_block(grid, w, v, mu, order, 0)
     _comparison_agrees(grid, w, v, mu, order, 0, report, 0)
+
+
+#: gronwall_bound's bound on test_block_of_one_case's window, as the scalar
+#: rows give it; the block rows differ at three points
+ONE_CASE_BOUND = [
+    "0x1.b8f68d41ae326p-1", "0x1.1f1cf59599717p+0", "0x1.20cd0edb293e5p+2",
+    "0x1.64da3186a8f40p+2", "0x1.b78bb3efeba8cp+1", "0x1.0d2f9044d4751p+2",
+    "0x1.3f184655e1e8ep+2", "0x1.c79d4a51f7a05p+1", "0x1.1c1121b9f3c2ep+3",
+    "0x1.4b7bd186fb6b3p+2", "0x1.68472022b29c8p+2", "0x1.c6662a742db14p+2",
+]
+
+
+def test_the_shape_of_the_input_picks_the_rows():
+    grid = _window(0.5, 12)
+    order = FracOrder(0.5)
+    kernel = build_kernel(grid, 0, order)
+    rng = np.random.default_rng(3)
+    mu = rng.uniform(0.0, 0.98, (grid.count, 1)) * sart_bound(grid, order)[:, None]
+    v = rng.uniform(0.0, 2.0, (grid.count, 1))
+    block, _ = _bound_cases(grid, v, mu, order, 0)
+    assert block.tobytes() == (v[0] * _block_rows(kernel, mu, np.ones(1))).tobytes()
+    one, worst = _bound_cases(grid, v[:, 0], mu[:, 0], order, 0)
+    assert one.tobytes() == (v[0, 0] * _linear_rows(kernel, mu[:, 0], 1.0)).tobytes()
+    assert [float.hex(b) for b in one.tolist()] == ONE_CASE_BOUND
+    assert np.count_nonzero(one != block[:, 0]) == 3
+    public = gronwall_bound(GronwallInput(v=GridFn(grid, v[:, 0]), mu=GridFn(grid, mu[:, 0]),
+                                          alpha=order, a_index=0))
+    assert public.bound.values.tobytes() == one.tobytes()
+    assert public.max_violation == float(worst) == float.fromhex("0x1.aa7ce5b7770a0p-5")
 
 
 def _zero_factor_case():

@@ -79,25 +79,22 @@ def _recorded_inputs(monkeypatch, cases):
     (w, v, x) of each comparison case, in case order, of one run of each
     suite at seed 5, read from the columns of the blocks the suites check."""
     seen = {"gronwall": [], "comparison": [], "corollary": []}
-    bound, compare = gronwall._gronwall_bound_block, gronwall._verify_comparison_block
-    order_one = gronwall._q_gronwall_classical_block
+    bound, compare = gronwall._bound_cases, gronwall._comparison_cases
+    running = []
 
     def recording_bound(grid, v, mu, *args, **kwargs):
-        seen["gronwall"].extend(zip(v.T.tolist(), mu.T.tolist()))
+        seen[running[-1]].extend(zip(v.T.tolist(), mu.T.tolist()))
         return bound(grid, v, mu, *args, **kwargs)
 
     def recording_compare(grid, w, v, x, *args, **kwargs):
         seen["comparison"].extend(zip(w.T.tolist(), v.T.tolist(), x.T.tolist()))
         return compare(grid, w, v, x, *args, **kwargs)
 
-    def recording_order_one(grid, v, delta, *args, **kwargs):
-        seen["corollary"].extend(zip(v.T.tolist(), delta.T.tolist()))
-        return order_one(grid, v, delta, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "_gronwall_bound_block", recording_bound)
-    monkeypatch.setattr(verify, "_q_gronwall_classical_block", recording_order_one)
-    monkeypatch.setattr(verify, "_verify_comparison_block", recording_compare)
+    # suites gronwall and corollary both solve their blocks with _bound_cases
+    monkeypatch.setattr(verify, "_bound_cases", recording_bound)
+    monkeypatch.setattr(verify, "_comparison_cases", recording_compare)
     for suite in seen:
+        running.append(suite)
         assert run_suite(suite, seed=5, cases=cases)["failures"] == []
     return seen
 
