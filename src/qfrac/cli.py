@@ -38,6 +38,7 @@ from .qcore import (
     GridFn,
     QGrid,
     Tolerance,
+    _check_q,
     gamma_q,
     make_grid,
     product_truncation_index,
@@ -368,6 +369,7 @@ def _read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
 
 
 def _grid_from_t_column(ts: list[float], q: float) -> QGrid:
+    _check_q(q)  # before the log below, which fails on q <= 0 and q == 1
     if not ts or ts[0] <= 0.0:
         raise InputFormatError("t column must start with a positive anchor")
     n_start = round(math.log(ts[0]) / math.log(q))

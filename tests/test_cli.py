@@ -276,6 +276,20 @@ def test_bound_malformed_t_column_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+@pytest.mark.parametrize("q", ["1", "0", "-0.5", "1.5"])
+def test_bound_base_outside_the_unit_interval_exit_2(runner, tmp_path, q):
+    # the t column's anchor is read through log(q), which 1, 0 and -0.5 broke
+    path = tmp_path / "v.csv"
+    path.write_text("t,v\n0.5,1\n1,1\n", encoding="utf-8")
+    res = runner.invoke(main, ["bound", str(path), "--q", q, "--alpha", "0.5", "--mu", "0.1"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr) == {
+        "error": "DomainError", "message": f"base q must lie in (0, 1), got {float(q)!r}"
+    }
+
+
 def test_bound_sart_violation_exit_2(runner, tmp_path):
     path = tmp_path / "sart.csv"
     path.write_text("t,v,mu\n0.5,1,9\n1,1,9\n", encoding="utf-8")
