@@ -53,10 +53,12 @@ def _ulp_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))).max())
 
 
-def _worst_excess(excess: np.ndarray) -> float:
-    """Largest positive entry, 0 when there is none; NaN propagates."""
-    worst = float(excess.max())
-    return 0.0 if worst <= 0.0 else worst
+def _worst_excess(excess: np.ndarray) -> np.ndarray:
+    """Largest positive entry of an (N,) array, or of each column of an
+    (N, K) array, 0 when there is none; NaN propagates."""
+    # maximum(0, x) is where(0 >= x, 0, x), so a worst of -0.0 gives 0.0;
+    # the ufunc reduce is excess.max(axis=0) without the method's overhead
+    return np.maximum(0.0, np.maximum.reduce(excess))
 
 
 def sart_bound(grid: QGrid, alpha: FracOrder) -> np.ndarray:
@@ -101,29 +103,28 @@ class BoundResult:
     max_violation: float
 
 
-def _first_case(flags: np.ndarray) -> int:
-    """Column index of the first case of an (N, K) or (K,) flag array that has
-    a True entry, -1 when none has."""
-    hit = np.flatnonzero(flags.any(axis=0) if flags.ndim == 2 else flags)
-    return int(hit[0]) if hit.size else -1
-
-
-def _require(ok: np.ndarray, block: bool, error: type[QFracError], message) -> None:
+def _require(
+    ok: np.ndarray,
+    block: bool,
+    error: type[QFracError],
+    message: str | Callable[[object, list[int]], str],
+) -> None:
     """Raise ``error`` unless every entry of ``ok`` is True.
 
     ``ok`` holds one case's flags, per point (N,) or for the whole case (a
     scalar), or for a block the same with a trailing axis of K cases; the
-    clean path is one ``count_nonzero``.  On failure the index ``at`` picks
+    clean path is one C-level test.  On failure the index ``at`` picks
     the first failing case, ``...`` for one case and ``(..., k)`` for case k
     of a block, whose message then starts with "case k: ".  ``message`` is
     the text, or a function of ``at`` and the list ``bad`` of the case's
     failing points; a PreconditionError carries ``bad`` as its indices.
     """
-    if np.count_nonzero(ok) == ok.size:
+    clean = bool(ok) if ok.ndim == 0 else np.count_nonzero(ok) == ok.size
+    if clean:
         return
     prefix, at = "", ...
     if block:
-        k = _first_case(~ok)
+        k = int(np.flatnonzero(np.logical_or.reduce(~ok) if ok.ndim == 2 else ~ok)[0])
         prefix, at = f"case {k}: ", (..., k)
     bad = np.flatnonzero(~ok[at]).tolist()
     text = prefix + (message if isinstance(message, str) else message(at, bad))
@@ -165,13 +166,10 @@ def _diagonal_factors(kernel: OperatorKernel, coeff: np.ndarray) -> np.ndarray:
     d = kernel.diagonal[:, None]
     p = d * coeff
     rounded = 1.0 - p
-    k = _first_case(rounded[kernel.a_index + 1 :] <= 0.0)
-    if k >= 0:
-        bad = [int(i) for i in np.flatnonzero(rounded[:, k] <= 0.0)]
-        raise PreconditionError(
-            f"case {k}: diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
-            indices=tuple(bad),
-        )
+    _require(
+        ~(rounded <= 0.0), True, PreconditionError,
+        lambda at, bad: f"diagonal factor 1 - W_ii coeff_i not positive at indices {bad}",
+    )
     # splitting overflows past ~1e300; those entries keep the rounded factor
     with np.errstate(over="ignore", invalid="ignore"):
         (d_hi, d_lo), (c_hi, c_lo) = _split(d), _split(coeff)
@@ -266,7 +264,7 @@ def _bound_cases(
     )
     kernel = build_kernel(grid, a_index, alpha, tol)
     u = _block_rows(kernel, mu, np.ones(mu.shape[1])) if block else _linear_rows(kernel, mu, 1.0)
-    u_max = u.max(axis=0)
+    u_max = np.maximum.reduce(u)
 
     def diverges(at, bad) -> str:
         i = int(np.argmin(u[at] <= DIVERGENCE_LIMIT))
@@ -287,8 +285,7 @@ def _bound_cases(
         lambda at, bad: f"bound v(a) * series overflows with v(a) = {float(v_a[at])!r}",
     )
     bound = v_a * u
-    worst = (v[a_index:] - bound[a_index:]).max(axis=0)
-    return bound, np.where(worst <= 0.0, 0.0, worst)
+    return bound, _worst_excess(v[a_index:] - bound[a_index:])
 
 
 def gronwall_bound(
@@ -402,13 +399,13 @@ def _comparison_cases(
     sl = slice(a_index, grid.count)
     w_a, v_a = w[a_index], v[a_index]
     ceiling = sart_bound(grid, alpha)
-    holds_super = (w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL).all(axis=0)
-    holds_sub = (v[sl] <= v_a + omega[1][sl] + HYPOTHESIS_TOL).all(axis=0)
-    holds_admissible = ((x >= 0.0) & (x <= (ceiling[:, None] if block else ceiling))).all(axis=0)
+    every = np.logical_and.reduce  # all(axis=0), one C call
+    holds_super = every(w[sl] >= w_a + omega[0][sl] - HYPOTHESIS_TOL)
+    holds_sub = every(v[sl] <= v_a + omega[1][sl] + HYPOTHESIS_TOL)
+    holds_admissible = every((x >= 0.0) & (x <= (ceiling[:, None] if block else ceiling)))
     holds_initial = w_a >= v_a
     checked = holds_super & holds_sub & holds_admissible & holds_initial
-    worst = (v[sl] - w[sl]).max(axis=0)
-    max_violation = np.where(checked, np.where(worst <= 0.0, 0.0, worst), math.nan)
+    max_violation = np.where(checked, _worst_excess(v[sl] - w[sl]), math.nan)
     outcomes = (holds_super, holds_sub, holds_admissible, holds_initial,
                 checked, checked & (max_violation <= tol), max_violation)
     return ComparisonReport(*(outcomes if block else (o.item() for o in outcomes)))
@@ -581,7 +578,7 @@ def dependence_experiment(
     bound = abs(gamma - beta) * factor
     sl = slice(a_index, grid.count)
     excess = abs_diff[sl] - bound[sl]
-    max_excess = _worst_excess(excess)
+    max_excess = float(_worst_excess(excess))
     bound_holds = bool(max_excess <= DEPENDENCE_SLACK)
     gammas: list[float] = []
     sups: list[float] = []
