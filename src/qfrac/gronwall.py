@@ -9,6 +9,13 @@ series is the Neumann series of the lower-triangular system
 (I - W diag mu) u = 1, so it is computed as that system's forward
 substitution rather than summed.  All hypotheses are verified numerically,
 never assumed.
+
+Each check has one implementation for one case and for a block of cases:
+its input checks (``_check_*``, which the input dataclasses run) and its
+routine (``_bound_cases``, ``_comparison_cases``) take (N,) arrays for one
+case or (N, K) arrays for K cases, one column each, as the verify suites
+pass them.  The shape picks the rows, scalar for (N,) and block for
+(N, K), and a block's errors name the first failing case.
 """
 from __future__ import annotations
 

@@ -15,8 +15,9 @@ combination; the other five suites run fixed tables and reject it.
 
 Suites gronwall and comparison, and corollary's random cases, run the cases
 of each parameter combination as one block: one forward substitution over
-(N, K) right-hand sides, cross-checked on the first case against the public
-function of :mod:`qfrac.gronwall`.
+(N, K) right-hand sides, through the input checks and the routine that the
+public function of :mod:`qfrac.gronwall` runs on one case, and
+cross-checked on the first case against that function.
 
 :func:`run_suite` runs its suites inside one series scope
 (:func:`qfrac.special._series_scope`): at each q, every Mittag-Leffler
