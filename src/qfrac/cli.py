@@ -6,8 +6,15 @@ property suites, JSON report), ``demo`` (continuous-dependence experiment).
 
 Exit codes: 0 success, 1 generic error, 2 hypothesis/precondition violation,
 3 input-format error.  Errors are emitted as one JSON object on stderr.
-CSV output uses UTF-8, comma separators, ``\\n`` line endings, a header row,
-and 17-significant-digit floats so files are diffable and round-trip safe.
+``eval``, ``solve``, ``bound`` and ``demo`` print one table through
+:func:`_print_table`.  CSV output uses UTF-8, comma separators, ``\\n`` line
+endings, a header row, 17-significant-digit floats (diffable and round-trip
+safe) and ``true``/``false`` for flags; ``bound`` adds a trailing
+``# max_violation=... terms_used=...`` line.  ``--format json`` prints the
+same rows as ``{"rows": [{column: value, ...}], **summary}`` with sorted keys:
+the summary is ``kind`` for eval, ``max_violation`` and ``terms_used`` for
+bound, ``bound_holds`` and ``max_excess`` for demo (whose JSON rows leave out
+``satisfied``), and empty for solve.
 Identical flags and seed produce byte-identical output.
 
 Each command imports what it needs when it runs: ``eval`` uses only the
@@ -160,11 +167,31 @@ def _run_config(cfg: dict[str, str], **flags) -> RunConfig:
     return RunConfig(**values)
 
 
-def _print_csv(header: list[str], rows: list[list[str]], trailer: str | None = None) -> None:
+def _cell(x) -> str:
+    """One CSV cell: 17 significant digits for a float, true/false for a bool."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return _fmt(x) if isinstance(x, float) else str(x)
+
+
+def _print_table(fmt: str, header: list[str], rows: list, summary: dict | None = None, *,
+                 trailer: bool = False, json_skip: tuple[str, ...] = ()) -> None:
+    """Print rows of Python values under ``header`` as CSV or as JSON.
+
+    JSON is ``{"rows": [{column: value}], **summary}`` with sorted keys,
+    leaving out the columns in ``json_skip``.  CSV is the header and one line
+    per row; with ``trailer`` the summary follows as a ``# key=value ...`` line.
+    """
+    summary = summary or {}
+    if fmt == "json":
+        keys = [(k, name) for k, name in enumerate(header) if name not in json_skip]
+        table = [{name: row[k] for k, name in keys} for row in rows]
+        click.echo(json.dumps({"rows": table, **summary}, sort_keys=True))
+        return
     out = [",".join(header)]
-    out.extend(",".join(row) for row in rows)
-    if trailer is not None:
-        out.append(trailer)
+    out.extend(",".join(map(_cell, row)) for row in rows)
+    if trailer:
+        out.append("# " + " ".join(f"{key}={_cell(value)}" for key, value in summary.items()))
     click.echo("\n".join(out))
 
 
@@ -228,15 +255,7 @@ def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
         evaluate = _q_exp_small_with_terms if kind == "eq" else _q_exp_big_with_terms
         value, terms = evaluate(t, q, tolerance)
 
-    if rc.fmt == "json":
-        click.echo(
-            json.dumps(
-                {"kind": kind, "rows": [{"input": label, "terms_used": terms, "value": value}]},
-                sort_keys=True,
-            )
-        )
-    else:
-        _print_csv(["input", "value", "terms_used"], [[label, _fmt(value), str(terms)]])
+    _print_table(rc.fmt, ["input", "value", "terms_used"], [[label, value, terms]], {"kind": kind})
 
 
 def _forcing_fn(name: str):
@@ -291,6 +310,8 @@ def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol,
     unknown = [m for m in wanted if m not in ("closed", "iter", "march")]
     if unknown:
         raise InputFormatError(f"unknown methods {unknown}; choose from closed,iter,march")
+    if not wanted:
+        raise InputFormatError("--methods names no method; choose from closed,iter,march")
     if problem == "sin" and any(m != "march" for m in wanted):
         raise InputFormatError("--problem sin supports only the march method")
 
@@ -298,51 +319,31 @@ def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol,
     grid = rc.grid()
     order = FracOrder(rc.alpha)
     f_of_t = _forcing_fn(forcing_name)
-    solutions: dict[str, np.ndarray] = {}
+    columns: dict[str, list] = {"t": list(grid.points)}
     defects: list[np.ndarray] = []
     if problem == "linear":
         p = LinearIVP(
             alpha=order, lam=lam, a_index=0, y0=y0,
             forcing=GridFn.from_callable(grid, f_of_t),
         )
-        if "closed" in wanted:
-            rep = solve_linear_closed(p, tolerance)
-            solutions["y_closed"] = rep.solution.values
-            defects.append(linear_defect(p, rep.solution, tolerance))
-        if "iter" in wanted:
-            rep = solve_linear_iterative(p, tol=tolerance)
-            solutions["y_iter"] = rep.solution.values
-            defects.append(linear_defect(p, rep.solution, tolerance))
-        if "march" in wanted:
-            ivp = NonlinearIVP(
-                grid=grid, alpha=order, a_index=0, y0=y0,
-                rhs=lambda t, y: lam * y + f_of_t(t), lipschitz=abs(lam),
-            )
-            rep = solve_marching(ivp, tolerance)
-            solutions["y_march"] = rep.solution.values
-            defects.append(nonlinear_defect(ivp, rep.solution, tolerance))
+        rhs = lambda t, y: lam * y + f_of_t(t)
     else:
-        ivp = NonlinearIVP(
-            grid=grid, alpha=order, a_index=0, y0=y0,
-            rhs=lambda t, y: lam * math.sin(y), lipschitz=abs(lam),
-        )
+        rhs = lambda t, y: lam * math.sin(y)
+    if "closed" in wanted:
+        rep = solve_linear_closed(p, tolerance)
+        columns["y_closed"] = rep.solution.values.tolist()
+        defects.append(linear_defect(p, rep.solution, tolerance))
+    if "iter" in wanted:
+        rep = solve_linear_iterative(p, tol=tolerance)
+        columns["y_iter"] = rep.solution.values.tolist()
+        defects.append(linear_defect(p, rep.solution, tolerance))
+    if "march" in wanted:
+        ivp = NonlinearIVP(grid=grid, alpha=order, a_index=0, y0=y0, rhs=rhs, lipschitz=abs(lam))
         rep = solve_marching(ivp, tolerance)
-        solutions["y_march"] = rep.solution.values
+        columns["y_march"] = rep.solution.values.tolist()
         defects.append(nonlinear_defect(ivp, rep.solution, tolerance))
-
-    defect = np.maximum.reduce(defects)
-    columns = ["t"] + [c for c in ("y_closed", "y_iter", "y_march") if c in solutions] + ["defect"]
-    rows = []
-    for i, t in enumerate(grid.points):
-        row = [_fmt(t)]
-        row += [_fmt(solutions[c][i]) for c in columns[1:-1]]
-        row.append(_fmt(defect[i]))
-        rows.append(row)
-    if rc.fmt == "json":
-        payload = [dict(zip(columns, (float(v) for v in row))) for row in rows]
-        click.echo(json.dumps({"rows": payload}, sort_keys=True))
-    else:
-        _print_csv(columns, rows)
+    columns["defect"] = np.maximum.reduce(defects).tolist()
+    _print_table(rc.fmt, list(columns), list(zip(*columns.values())))
 
 
 def _read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
@@ -442,32 +443,13 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
             f"admissibility ceiling violated at t values {ts}", indices=exc.indices
         ) from exc
 
-    out_rows = [
-        [_fmt(t), _fmt(v.values[i]), _fmt(result.bound.values[i]),
-         "true" if result.satisfied[i] else "false"]
-        for i, t in enumerate(grid.points)
-    ]
-    if rc.fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "max_violation": result.max_violation,
-                    "rows": [
-                        {"bound": float(result.bound.values[i]),
-                         "satisfied": bool(result.satisfied[i]),
-                         "t": t, "v": float(v.values[i])}
-                        for i, t in enumerate(grid.points)
-                    ],
-                    "terms_used": result.terms_used,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        trailer = (
-            f"# max_violation={_fmt(result.max_violation)} terms_used={result.terms_used}"
-        )
-        _print_csv(["t", "v", "bound", "satisfied"], out_rows, trailer)
+    rows = list(zip(grid.points, v.values.tolist(), result.bound.values.tolist(),
+                    map(bool, result.satisfied)))
+    _print_table(
+        rc.fmt, ["t", "v", "bound", "satisfied"], rows,
+        {"max_violation": result.max_violation, "terms_used": result.terms_used},
+        trailer=True,
+    )
 
 
 @main.command("verify")
@@ -529,30 +511,16 @@ def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, co
         grid, 0, FracOrder(rc.alpha), gamma, beta, rhs_fn, lipschitz, rc.tolerance
     )
     rows = [
-        [_fmt(t), _fmt(report.phi.values[i]), _fmt(report.psi.values[i]),
-         _fmt(report.abs_diff[i]), _fmt(report.bound[i]),
-         "true" if report.abs_diff[i] <= report.bound[i] + DEPENDENCE_SLACK else "false"]
-        for i, t in enumerate(grid.points)
+        [t, phi, psi, d, b, d <= b + DEPENDENCE_SLACK]
+        for t, phi, psi, d, b in zip(grid.points, report.phi.values.tolist(),
+                                     report.psi.values.tolist(), report.abs_diff.tolist(),
+                                     report.bound.tolist())
     ]
-    if rc.fmt == "json":
-        click.echo(
-            json.dumps(
-                {
-                    "bound_holds": report.bound_holds,
-                    "max_excess": report.max_excess,
-                    "rows": [
-                        {"abs_diff": float(report.abs_diff[i]),
-                         "bound": float(report.bound[i]),
-                         "phi": float(report.phi.values[i]),
-                         "psi": float(report.psi.values[i]), "t": t}
-                        for i, t in enumerate(grid.points)
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        _print_csv(["t", "phi", "psi", "abs_diff", "bound", "satisfied"], rows)
+    _print_table(
+        rc.fmt, ["t", "phi", "psi", "abs_diff", "bound", "satisfied"], rows,
+        {"bound_holds": report.bound_holds, "max_excess": report.max_excess},
+        json_skip=("satisfied",),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover
