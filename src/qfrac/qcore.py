@@ -367,7 +367,11 @@ def q_factorial_power(
     t**nu * prod_i (1 - (s/t) q**i) / (1 - (s/t) q**(i+nu)), which needs
     s/t < 1; s == t is admitted for nu > 0, where the i = 0 factor forces 0.
     (t - s)_q^0 is 1 for all admissible arguments.  An infinite product that
-    would need more than tol.max_terms factors raises NonConvergenceError.
+    would need more than tol.max_terms factors raises NonConvergenceError, and
+    so does a finite one of more than tol.max_terms factors unless the factors
+    past that count cannot change it (the product is 0 or infinite and they
+    are positive, or they are exactly t == 1.0).  An integer order returns
+    the product's inf when it overflows; any other order raises RangeError.
     """
     _check_q(q)
     return _q_factorial_power(t, s, nu, q, tol.max_terms, None)
@@ -389,27 +393,46 @@ def _q_factorial_power(
     if s < 0:
         raise DomainError(f"q_factorial_power needs s >= 0, got {s!r}")
     if float(nu).is_integer() and nu >= 0:
+        n = int(nu)
+        capped = n > max_terms
         prod = 1.0
         qi = 1.0
-        for _ in range(int(nu)):
+        for _ in range(max_terms if capped else n):  # not min(): a hot path
             prod *= t - qi * s
             qi *= q
+        if capped and not _product_is_final(prod, t, t - qi * s):
+            raise NonConvergenceError(
+                f"(t-s)_q^{nu} still changes after max_terms={max_terms} factors"
+            )
         return prod
     r = s / t
     if r == 1.0 and nu > 0:
         return 0.0
     if r >= 1.0:
         raise DomainError(f"product branch of (t-s)_q^nu needs s/t < 1, got s/t = {r!r}")
-    if r == 0.0:
-        return t ** nu
-    factor = None if products is None else products.get(r)
-    if factor is None:
-        factor = _product_factor(r, nu, q, max_terms)
-        if products is not None:
-            products[r] = factor
-    if factor == 0.0:
-        return 0.0
-    return t ** nu * factor
+    try:
+        if r == 0.0:
+            return t ** nu
+        factor = None if products is None else products.get(r)
+        if factor is None:
+            factor = _product_factor(r, nu, q, max_terms)
+            if products is not None:
+                products[r] = factor
+        if factor == 0.0:
+            return 0.0
+        return t ** nu * factor
+    except OverflowError:
+        raise RangeError(f"(t-s)_q^{nu} at t={t!r}, s={s!r} overflows the float range") from None
+
+
+def _product_is_final(prod: float, t: float, factor: float) -> bool:
+    """Whether the factors from ``factor`` on leave the finite product
+    prod_i (t - q**i s) as it is.  The factors only grow towards t: once one
+    is positive all later ones are, and they keep a 0 or an infinite product;
+    once one is exactly t == 1.0 all later ones are 1.0.  NaN stays NaN."""
+    if factor > 0.0 and (prod == 0.0 or abs(prod) == math.inf):
+        return True
+    return prod != prod or (t == 1.0 and factor == 1.0)
 
 
 def _product_factor(r: float, nu: float, q: float, max_terms: int) -> float:

@@ -99,12 +99,23 @@ def test_eval_domain_error_exit_code(runner):
 
 @pytest.mark.parametrize("args", [
     ["eval", "gamma", "--alpha", "1100", "--q", "0.5"],
+    ["eval", "gamma", "--alpha", "1e308"],  # ran 1e308 factors before the max_terms cap
+    # t**nu overflowed as a bare Python OverflowError and a traceback
+    ["eval", "qfac", "--t", "1.5", "--s", "1", "--nu", "2000.5"],
+    ["eval", "qfac", "--t", "1e300", "--s", "1", "--nu", "1.5"],
+    ["eval", "qfac", "--t", "1e-300", "--s", "0", "--nu", "-2.5"],
 ])
 def test_eval_gamma_overflow_is_range_error(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 1
     assert json.loads(res.stderr)["error"] == "RangeError"
     assert res.stdout == ""
+
+
+def test_eval_qfac_huge_integer_order_prints_inf(runner):
+    res = invoke(runner, "eval", "qfac", "--t", "1.5", "--s", "1", "--nu", "1e12")
+    assert res.exit_code == 0
+    assert res.stdout.split("\n")[1].split(",")[1] == "inf"
 
 
 ML_PAST_GAMMA_OVERFLOW = ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--q", "0.5", "--t", "1"]
@@ -209,6 +220,25 @@ def test_solve_divergent_window_fails_without_output(runner):
     )
     assert res.exit_code == 1
     assert "t," not in res.output  # no partial table
+
+
+@pytest.mark.parametrize("problem", ["linear", "sin"])
+@pytest.mark.parametrize("methods", [",", "", " , "])
+def test_solve_empty_method_list_exit_3(runner, problem, methods):
+    res = runner.invoke(main, ["solve", "--problem", problem, "--steps", "6",
+                               "--methods", methods])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"] == "InputFormatError"
+
+
+def test_solve_empty_method_list_in_config_exit_3(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("methods=\n", encoding="utf-8")
+    res = runner.invoke(main, ["solve", "--steps", "6", "--config", str(cfg)])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr)["error"] == "InputFormatError"
 
 
 # -------------------------------------------------------------------- bound

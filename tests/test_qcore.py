@@ -1,5 +1,7 @@
 """Tests for grids, q-arithmetic, factorial powers, the q-Gamma function and
 the bounded LRU cache."""
+import math
+import random
 import threading
 
 import hypothesis
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qfrac.errors import DomainError, GridMismatchError, RangeError
+from qfrac.errors import DomainError, GridMismatchError, NonConvergenceError, RangeError
 from qfrac.qcore import (
     GAMMA_CACHE_SIZE,
     FracOrder,
@@ -20,9 +22,10 @@ from qfrac.qcore import (
     q_pochhammer,
     _BoundedLRU,
     _gamma_q_cached,
+    _q_factorial_power,
 )
 
-from oracles import ref_gamma_q, ref_qfp
+from oracles import loop_q_factorial_power, ref_gamma_q, ref_qfp
 
 q_strat = st.floats(min_value=0.05, max_value=0.95)
 
@@ -110,6 +113,64 @@ def test_qfp_domain_errors():
         q_factorial_power(-1.0, 0.5, 0.5, 0.5)
     with pytest.raises(DomainError):
         q_factorial_power(1.0, -0.5, 0.5, 0.5)
+
+
+def test_qfp_integer_orders_up_to_max_terms_are_the_loop_bit_for_bit():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        q = rng.uniform(0.2, 0.99)
+        t = 1.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-2.0, 2.0)
+        s = t * rng.choice([rng.random(), 1.0, rng.uniform(1.0, 3.0)])  # s >= t too
+        nu = float(rng.randrange(400))
+        max_terms = max(1, rng.choice([int(nu), int(nu) + 1, 10_000]))
+        got = _q_factorial_power(t, s, nu, q, max_terms, None)
+        want = loop_q_factorial_power(t, s, nu, q)
+        assert repr(got) == repr(want), (t, s, nu, q, max_terms)  # -0.0, inf, nan too
+
+
+@pytest.mark.parametrize("t, s, q", [
+    (1.0, 0.5, 0.5), (1.0, 0.9, 0.9),  # the factors become exactly 1.0
+    (0.25, 0.1, 0.7), (0.25, 1.5, 0.5),  # underflow to 0.0 and to -0.0
+    (4.0, 10.0, 0.5), (4.0, 20.0, 0.5),  # overflow to inf and to -inf
+    (1.0, math.nan, 0.5),  # NaN stays NaN
+])
+def test_qfp_integer_orders_past_max_terms_stop_once_the_product_is_final(t, s, q):
+    got = _q_factorial_power(t, s, 5000.0, q, 1_000, None)
+    assert repr(got) == repr(loop_q_factorial_power(t, s, 5000.0, q))
+
+
+@pytest.mark.parametrize("t, s", [
+    (1.0000001, 0.0), (0.9, 0.1),  # finite, still growing or shrinking
+    (1.0, 1e305),  # -inf, but the factors are still negative and flip its sign
+])
+def test_qfp_integer_orders_still_changing_at_max_terms_raise(t, s):
+    with pytest.raises(NonConvergenceError, match="after max_terms=1000 factors"):
+        _q_factorial_power(t, s, 5000.0, 0.5, 1_000, None)
+
+
+def test_qfp_integer_order_factor_of_one_is_final_only_at_t_one():
+    # the factor after the cap rounds to exactly 1.0, but later ones are t > 1
+    t, s = 1.0 + 2.0 ** -52, 2.0 ** -51
+    assert loop_q_factorial_power(t, s, 50.0, 0.5) != loop_q_factorial_power(t, s, 1.0, 0.5)
+    with pytest.raises(NonConvergenceError):
+        _q_factorial_power(t, s, 50.0, 0.5, 1, None)
+
+
+def test_qfp_huge_integer_orders_stop_at_max_terms():
+    # these ran nu iterations: 1e308 of them never finished
+    assert q_factorial_power(1.5, 1.0, 1e12, 0.5) == math.inf
+    assert q_factorial_power(1.0, 0.5, 1e308, 0.5) == loop_q_factorial_power(1.0, 0.5, 60.0, 0.5)
+    with pytest.raises(RangeError):
+        gamma_q(1e308, 0.5)
+
+
+@pytest.mark.parametrize("t, s, nu", [
+    (1.5, 1.0, 2000.5), (1e300, 1.0, 1.5), (1e-300, 0.0, -2.5), (1.5, 1.0, -2000.5),
+])
+def test_qfp_overflow_off_the_integer_branch_is_range_error(t, s, nu):
+    with pytest.raises(RangeError, match="overflows the float range"):
+        q_factorial_power(t, s, nu, 0.5)
+    assert q_factorial_power(1.5, 1.0, 2000.0, 0.5) == math.inf  # the integer branch
 
 
 @hypothesis.given(
