@@ -396,8 +396,9 @@ def _comparison_cases(
     block = w.ndim == 2
     weights = build_kernel(grid, a_index, alpha, work_tol).weights
     omega = []
-    for phi in (w, v):
-        vals = x * phi
+    with np.errstate(over="ignore"):  # an overflow is the DomainError below
+        products = (x * w, x * v)
+    for vals in products:
         _require(np.isfinite(vals), block, DomainError, "grid function values must be finite")
         vals[: a_index + 1] = 0.0
         # one product per case: a matrix product's sums would round differently

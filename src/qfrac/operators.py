@@ -234,7 +234,8 @@ def omega_apply(op: OmegaOp, phi: GridFn) -> GridFn:
     DomainError when x * phi overflows, without the intermediate GridFn."""
     if phi.grid != op.kernel.grid:
         raise GridMismatchError("phi and kernel live on different grids")
-    vals = op.x.values * phi.values
+    with np.errstate(over="ignore"):  # an overflow is the DomainError below
+        vals = op.x.values * phi.values
     if np.count_nonzero(np.isinf(vals)):
         raise DomainError("grid function values must be finite")
     vals[: op.kernel.a_index + 1] = 0.0

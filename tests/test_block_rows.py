@@ -30,7 +30,7 @@ from qfrac.gronwall import (
     sart_bound,
     verify_comparison,
 )
-from qfrac.operators import build_kernel
+from qfrac.operators import OmegaOp, build_kernel, omega_apply
 from qfrac.qcore import FracOrder, GridFn, make_grid
 from qfrac.solver import forward_substitution
 
@@ -298,9 +298,9 @@ def _public_and_block_calls(kind):
             lambda: _gronwall_bound_block(grid, v, mu, order, 0), 1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", list(PUBLIC_MESSAGES))
 def test_error_messages_are_the_public_text_with_the_case_in_front(kind):
+    # warnings are errors here: an overflow must surface as the error, not a warning
     error, text, indices = PUBLIC_MESSAGES[kind]
     public, block, k = _public_and_block_calls(kind)
     for call, want in ((public, text), (block, f"case {k}: {text}")):
@@ -309,6 +309,18 @@ def test_error_messages_are_the_public_text_with_the_case_in_front(kind):
         assert type(exc.value) is error
         assert str(exc.value) == want
         assert getattr(exc.value, "indices", None) == indices
+
+
+def test_omega_apply_overflow_is_the_domain_error_not_a_warning():
+    grid = _window(0.5, 12)
+    order = FracOrder(0.5)
+    op = OmegaOp(kernel=build_kernel(grid, 0, order),
+                 x=GridFn(grid, 0.5 * sart_bound(grid, order)))
+    phi = np.ones(grid.count)
+    phi[7] = 1e308  # x[7] > 1, so x * phi overflows there
+    with pytest.raises(DomainError) as exc:
+        omega_apply(op, GridFn(grid, phi))
+    assert str(exc.value) == PUBLIC_MESSAGES["comparison_product"][1]
 
 
 def test_comparison_and_order_one_block_errors_name_the_case():
