@@ -99,8 +99,8 @@ def test_eval_domain_error_exit_code(runner):
 
 @pytest.mark.parametrize("args", [
     ["eval", "gamma", "--alpha", "1100", "--q", "0.5"],
-    ["eval", "gamma", "--alpha", "1e308"],  # ran 1e308 factors before the max_terms cap
-    # t**nu overflowed as a bare Python OverflowError and a traceback
+    ["eval", "gamma", "--alpha", "1e308"],  # an integer order far past max_terms
+    # t**nu or the product leaves the float range off the integer branch
     ["eval", "qfac", "--t", "1.5", "--s", "1", "--nu", "2000.5"],
     ["eval", "qfac", "--t", "1e300", "--s", "1", "--nu", "1.5"],
     ["eval", "qfac", "--t", "1e-300", "--s", "0", "--nu", "-2.5"],

@@ -157,7 +157,7 @@ def test_qfp_integer_order_factor_of_one_is_final_only_at_t_one():
 
 
 def test_qfp_huge_integer_orders_stop_at_max_terms():
-    # these ran nu iterations: 1e308 of them never finished
+    # far past max_terms: the products are final at the cap
     assert q_factorial_power(1.5, 1.0, 1e12, 0.5) == math.inf
     assert q_factorial_power(1.0, 0.5, 1e308, 0.5) == loop_q_factorial_power(1.0, 0.5, 60.0, 0.5)
     with pytest.raises(RangeError):
