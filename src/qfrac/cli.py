@@ -46,10 +46,10 @@ from .qcore import (
     QGrid,
     Tolerance,
     _check_q,
+    _q_factorial_power_with_terms,
     gamma_q,
     make_grid,
     product_truncation_index,
-    q_factorial_power,
 )
 from .special import (
     MLSpec,
@@ -235,8 +235,7 @@ def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
         s = need("s", _resolve(s, cfg, "s", float, None))
         nu = need("nu", _resolve(nu, cfg, "nu", float, None))
         label = f"t={_fmt(t)};s={_fmt(s)};nu={_fmt(nu)};q={_fmt(q)}"
-        value = q_factorial_power(t, s, nu, q, tolerance)
-        terms = product_truncation_index(q, tolerance.max_terms)
+        value, terms = _q_factorial_power_with_terms(t, s, nu, q, tolerance)
     elif kind == "ml":
         alpha = need("alpha", _resolve(alpha, cfg, "alpha", float, None))
         t = need("t", _resolve(t, cfg, "t", float, None))
@@ -314,6 +313,8 @@ def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol,
         raise InputFormatError("--methods names no method; choose from closed,iter,march")
     if problem == "sin" and any(m != "march" for m in wanted):
         raise InputFormatError("--problem sin supports only the march method")
+    if problem == "sin" and forcing_name != "zero":
+        raise InputFormatError("--problem sin takes no forcing: its right-hand side is lambda sin(y)")
 
     tolerance = rc.tolerance
     grid = rc.grid()

@@ -26,6 +26,7 @@ from .qcore import (
     QGrid,
     Tolerance,
     _BoundedLRU,
+    _q_factorial_power,
     gamma_q,
     q_factorial_power,
 )
@@ -129,21 +130,45 @@ def build_kernel(
     of the most recently used ones, bounded by KERNEL_CACHE_BYTES; a
     kernel's weights are read-only, so sharing one between callers is safe.
     """
+    return _cached_kernel(grid, a_index, alpha, tol, None)
+
+
+def _cached_kernel(
+    grid: QGrid, a_index: int, alpha: FracOrder, tol: Tolerance,
+    products: dict[float, float] | None,
+) -> OperatorKernel:
+    """:func:`build_kernel`, whose build, if the cache misses, reads the
+    product table ``products`` (see :func:`_build_kernel`)."""
     if not 0 <= a_index < grid.count:
         raise BoundaryError(f"a_index {a_index} outside grid of {grid.count} points")
     key = (grid, int(a_index), float(alpha.alpha), tol)
-    return _KERNEL_CACHE.get(key, lambda: _build_kernel(*key))
+    return _KERNEL_CACHE.get(key, lambda: _build_kernel(*key, products))
 
 
-def _build_kernel(grid: QGrid, a_index: int, al: float, tol: Tolerance) -> OperatorKernel:
+def _build_kernel(
+    grid: QGrid, a_index: int, al: float, tol: Tolerance,
+    products: dict[float, float] | None = None,
+) -> OperatorKernel:
+    """The kernel's weights (1 - q) t_j (t_i - q t_j)_q^(al-1) / Gamma_q(al).
+
+    ``products``, a product table of a :class:`qfrac.special._SeriesMemo`
+    for nu = al - 1, supplies each factor it holds and keeps each one it
+    lacks; a hit takes the float operations of a fresh evaluation, so the
+    weights are the same floats with or without it.
+    """
     q = grid.q
+    nu = al - 1.0
     g = gamma_q(al, q, tol)
     w = np.zeros((grid.count, grid.count))
     for i in range(a_index + 1, grid.count):
         ti = grid.points[i]
         for j in range(a_index + 1, i + 1):
             tj = grid.points[j]
-            w[i, j] = (1.0 - q) * tj * q_factorial_power(ti, q * tj, al - 1.0, q, tol) / g
+            if products is None:
+                power = q_factorial_power(ti, q * tj, nu, q, tol)
+            else:
+                power = _q_factorial_power(ti, q * tj, nu, q, tol.max_terms, products)
+            w[i, j] = (1.0 - q) * tj * power / g
     return OperatorKernel(grid=grid, a_index=a_index, alpha=FracOrder(al), weights=w)
 
 

@@ -425,6 +425,25 @@ def _q_factorial_power(
         raise RangeError(f"(t-s)_q^{nu} at t={t!r}, s={s!r} overflows the float range") from None
 
 
+def _q_factorial_power_with_terms(
+    t: float, s: float, nu: float, q: float, tol: Tolerance
+) -> tuple[float, int]:
+    """((t - s)_q^nu, the number of factors its evaluation used): n for an
+    integer order n >= 0 (max_terms when capped), 0 where the infinite
+    product is skipped (s = 0 or s = t), else the factors of the infinite
+    product.  The count takes a second pass over that product, which keeps
+    :func:`q_factorial_power` as it is."""
+    value = q_factorial_power(t, s, nu, q, tol)
+    if float(nu).is_integer() and nu >= 0:
+        return value, min(int(nu), tol.max_terms)
+    r = s / t
+    if r == 0.0 or r == 1.0:
+        return value, 0
+    log_q = math.log(q)
+    _, _, used = _q_product(r, q, math.expm1(nu * log_q), math.exp(nu * log_q), tol.max_terms)
+    return value, used
+
+
 def _product_is_final(prod: float, t: float, factor: float) -> bool:
     """Whether the factors from ``factor`` on leave the finite product
     prod_i (t - q**i s) as it is.  The factors only grow towards t: once one

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NonConvergenceError, PreconditionError, StepError
-from .operators import OperatorKernel, build_kernel, fractional_integral
+from .operators import OperatorKernel, _cached_kernel, build_kernel, fractional_integral
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
 
@@ -142,6 +142,13 @@ def solve_linear_closed(
     shares power sequences and series values between solves.  Either way
     the result is the same float for float as with every product evaluated
     afresh.
+
+    The residual's kernel weights carry the products (t_i - q t_j)_q^(alpha-1)
+    that the forcing terms already evaluated, so a kernel not yet in
+    :func:`qfrac.operators.build_kernel`'s cache is built from the memo's
+    table for nu = alpha - 1 (both representations fill it) and cached
+    under build_kernel's key; only the factors of zero-forcing columns are
+    evaluated there.
     """
     _check_convergence_domain(p)
     grid, q, al = p.grid, p.grid.q, p.alpha.alpha
@@ -176,7 +183,8 @@ def solve_linear_closed(
             acc = (1.0 - q) * math.fsum(parts)
         y[i] = p.y0 * hom + acc
     sol = GridFn._owned(grid, y)
-    residual = float(linear_defect(p, sol, tol).max())
+    kernel = _cached_kernel(grid, p.a_index, p.alpha, tol, memo.products(al - 1.0))
+    residual = float(linear_defect(p, sol, tol, kernel).max())
     method = "closed-modified" if via_modified_ml else "closed"
     return SolveReport(sol, iterations=0, residual=residual, method=method)
 

@@ -118,6 +118,53 @@ def test_eval_qfac_huge_integer_order_prints_inf(runner):
     assert res.stdout.split("\n")[1].split(",")[1] == "inf"
 
 
+def _qfac_terms(runner, *args):
+    res = invoke(runner, "eval", "qfac", *args)
+    assert res.exit_code == 0, res.stderr
+    return int(res.stdout.split("\n")[1].rsplit(",", 1)[1])
+
+
+def test_eval_qfac_terms_used_counts_the_factors_of_an_integer_order(runner):
+    # (t - s)_q^n is n factors; past max_terms (10,000) the product is capped there
+    assert _qfac_terms(runner, "--t", "1.5", "--s", "1", "--nu", "4", "--q", "0.7") == 4
+    assert _qfac_terms(runner, "--t", "1.5", "--s", "0.5", "--nu", "0") == 0
+    assert _qfac_terms(runner, "--t", "1.5", "--s", "1", "--nu", "1e12") == 10_000
+
+
+@pytest.mark.parametrize("args", [
+    ["--t", "1", "--s", "0", "--nu", "0.5", "--q", "0.9"],  # t**nu
+    ["--t", "1.5", "--s", "1.5", "--nu", "0.5", "--q", "0.9"],  # the first factor is 0
+])
+def test_eval_qfac_terms_used_is_zero_without_the_infinite_product(runner, args):
+    assert _qfac_terms(runner, *args) == 0
+
+
+def _factors_to_cut_off(r, nu, q):
+    """1 + the first i whose factor 1 + delta_i is within eps/8 of 1, at most
+    the truncation index."""
+    from qfrac.qcore import product_truncation_index
+
+    full = product_truncation_index(q)
+    for i in range(full):
+        x = r * q ** i
+        if abs(x * (q ** nu - 1.0) / (1.0 - x * q ** nu)) < 2.0 ** -55:
+            return i + 1
+    return full
+
+
+@pytest.mark.parametrize("t,s,nu,q,want", [
+    (1.0, 0.5, 0.5, 0.5, 52),  # every factor up to the truncation index
+    (2.0, 0.1, 1.5, 0.9, 317),  # the factors reach 1 before the 343rd
+    (1.3, 0.4, -0.6, 0.95, 654),  # of 703, in one numpy pass here
+    (1.0, 0.99, 0.25, 0.3, 30),  # s/t near 1: all 30 factors
+])
+def test_eval_qfac_terms_used_counts_the_factors_of_the_infinite_product(
+    runner, t, s, nu, q, want
+):
+    assert _factors_to_cut_off(s / t, nu, q) == want
+    assert _qfac_terms(runner, "--t", repr(t), "--s", repr(s), "--nu", repr(nu), "--q", repr(q)) == want
+
+
 ML_PAST_GAMMA_OVERFLOW = ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--q", "0.5", "--t", "1"]
 
 
@@ -231,6 +278,26 @@ def test_solve_empty_method_list_exit_3(runner, problem, methods):
     assert res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert json.loads(res.stderr)["error"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_solve_sin_rejects_a_forcing_exit_3(runner, tmp_path, how):
+    # the sin right-hand side is lambda sin(y) alone, so a forcing would be ignored
+    args = ["solve", "--problem", "sin", "--lambda", "0.5", "--steps", "5"]
+    if how == "flag":
+        args += ["--forcing", "identity"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("forcing=identity\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert json.loads(res.stderr)["error"] == "InputFormatError"
+    zero = invoke(runner, *args[:7], "--forcing", "zero")  # the default, accepted
+    assert zero.exit_code == 0
+    assert zero.stdout == invoke(runner, *args[:7]).stdout
 
 
 def test_solve_empty_method_list_in_config_exit_3(runner, tmp_path):
