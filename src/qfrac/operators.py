@@ -164,10 +164,7 @@ def _build_kernel(
         ti = grid.points[i]
         for j in range(a_index + 1, i + 1):
             tj = grid.points[j]
-            if products is None:
-                power = q_factorial_power(ti, q * tj, nu, q, tol)
-            else:
-                power = _q_factorial_power(ti, q * tj, nu, q, tol.max_terms, products)
+            power = _q_factorial_power(ti, q * tj, nu, q, tol.max_terms, products)
             w[i, j] = (1.0 - q) * tj * power / g
     return OperatorKernel(grid=grid, a_index=a_index, alpha=FracOrder(al), weights=w)
 

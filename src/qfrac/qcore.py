@@ -435,13 +435,11 @@ def _q_factorial_power_with_terms(
     :func:`q_factorial_power` as it is."""
     value = q_factorial_power(t, s, nu, q, tol)
     if float(nu).is_integer() and nu >= 0:
-        return value, min(int(nu), tol.max_terms)
+        return value, min(int(nu), tol.max_terms)  # the finite loop's count
     r = s / t
     if r == 0.0 or r == 1.0:
         return value, 0
-    log_q = math.log(q)
-    _, _, used = _q_product(r, q, math.expm1(nu * log_q), math.exp(nu * log_q), tol.max_terms)
-    return value, used
+    return value, _product_terms(r, nu, q, tol.max_terms)[2]
 
 
 def _product_is_final(prod: float, t: float, factor: float) -> bool:
@@ -454,17 +452,21 @@ def _product_is_final(prod: float, t: float, factor: float) -> bool:
     return prod != prod or (t == 1.0 and factor == 1.0)
 
 
-def _product_factor(r: float, nu: float, q: float, max_terms: int) -> float:
-    """prod_i (1 - r q**i) / (1 - r q**(i+nu)) for 0 < r < 1, with its sign."""
+def _product_terms(r: float, nu: float, q: float, max_terms: int) -> tuple[float, float, int]:
+    """:func:`_q_product` of prod_i (1 - r q**i) / (1 - r q**(i+nu)) for
+    0 < r < 1: ``(sign, log_abs, factors_used)``."""
     # factor i is 1 + delta_i, delta_i = r q^i (q^nu - 1) / (1 - r q^(i+nu))
     log_q = math.log(q)
     try:
-        sign, log_abs, _ = _q_product(
-            r, q, math.expm1(nu * log_q), math.exp(nu * log_q), max_terms
-        )
+        return _q_product(r, q, math.expm1(nu * log_q), math.exp(nu * log_q), max_terms)
     except PoleError:
         # reachable only for nu < 0 with s/t = q**(-(i+nu))
         raise PoleError(f"(t-s)_q^{nu} has a pole at s/t = {r!r}") from None
+
+
+def _product_factor(r: float, nu: float, q: float, max_terms: int) -> float:
+    """prod_i (1 - r q**i) / (1 - r q**(i+nu)) for 0 < r < 1, with its sign."""
+    sign, log_abs, _ = _product_terms(r, nu, q, max_terms)
     if sign == 0.0:
         return 0.0
     return sign * math.exp(log_abs)
@@ -512,7 +514,5 @@ def _log_gamma_q(alpha: float, q: float, max_terms: int) -> float:
     """log Gamma_q(alpha) for a checked q and alpha > 0, from
     log (1-q)_q^(alpha-1) - (alpha-1) log(1-q): finite also where Gamma_q
     itself leaves the float range."""
-    log_q = math.log(q)
     nu = alpha - 1.0
-    _, log_abs, _ = _q_product(q, q, math.expm1(nu * log_q), math.exp(nu * log_q), max_terms)
-    return log_abs - nu * math.log1p(-q)
+    return _product_terms(q, nu, q, max_terms)[1] - nu * math.log1p(-q)

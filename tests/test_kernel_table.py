@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from qfrac import operators, qcore
-from qfrac.qcore import DEFAULT_TOL, FracOrder, GridFn, _BoundedLRU, gamma_q, make_grid
+from qfrac.qcore import (
+    DEFAULT_TOL, FracOrder, GridFn, _BoundedLRU, gamma_q, make_grid, q_factorial_power,
+)
 from qfrac.solver import LinearIVP, linear_defect, solve_linear_closed
 
 
@@ -74,6 +76,14 @@ def test_kernel_from_a_partial_table_equals_the_table_free_build():
         want = operators._build_kernel(grid, a_index, al, DEFAULT_TOL)
         case = (q, n, a_index, al)
         assert got.weights.tobytes() == want.weights.tobytes(), case
+        # and both are the weights of the public q_factorial_power
+        g = gamma_q(al, q)
+        public = np.zeros((n, n))
+        for i in range(a_index + 1, n):
+            for j in range(a_index + 1, i + 1):
+                tj = grid.points[j]
+                public[i, j] = (1.0 - q) * tj * q_factorial_power(grid.points[i], q * tj, nu, q) / g
+        assert want.weights.tobytes() == public.tobytes(), case
         t = grid.points  # the build stored the factors the table lacked
         assert set(table) == {q * t[j] / t[i] for i in range(n) for j in range(a_index + 1, i + 1)}
 
