@@ -29,7 +29,7 @@ from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OperatorKernel, build_kernel
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
-from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
+from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
@@ -517,10 +517,9 @@ def _ml_per_point(
     grid: QGrid, a_index: int, alpha: float, lam: float, tol: Tolerance
 ) -> list[float]:
     """E_alpha(lam, t - a) at each grid point from the lower limit a on, 1
-    below it; one memo serves the N series of this call, or of the
-    enclosing ``run_suite`` call, which sums a repeated series once."""
+    below it; one memo serves the N series of this call."""
     spec = MLSpec(alpha, 1.0, lam, grid.points[a_index], tol)
-    memo = _series_memo(grid.q, tol)
+    memo = _SeriesMemo(grid.q, tol)
     ml = [_ml_series(spec, t, grid.q, memo=memo).value for t in grid.points[a_index:]]
     return [1.0] * a_index + ml
 
@@ -529,10 +528,7 @@ def _ml_bound_factor(
     grid: QGrid, a_index: int, alpha: FracOrder, lam: float, tol: Tolerance
 ) -> np.ndarray:
     """E_alpha(lam, t - a) per grid point, cross-checked against the
-    comparison series sum_k (Omega_lam^k 1), which it must equal.  The
-    series values come from :func:`_ml_per_point`, so inside a ``run_suite``
-    call a repeated factor is summed once; the cross-check runs on every
-    call."""
+    comparison series sum_k (Omega_lam^k 1), which it must equal."""
     out = np.array(_ml_per_point(grid, a_index, alpha.alpha, lam, tol))
     kernel = build_kernel(grid, a_index, alpha, tol)
     series = _linear_rows(kernel, np.full(grid.count, lam), 1.0)

@@ -23,6 +23,7 @@ is loaded anyway), so scalar evaluations run without it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 import threading
 from collections import OrderedDict
@@ -43,6 +44,11 @@ def _check_q(q: float) -> None:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
 
 
+def _is_count(n: Any) -> bool:
+    """Whether n is an integer: a Python or numpy int, not a bool or a float."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Truncation control for series and infinite products."""
@@ -56,6 +62,11 @@ class Tolerance:
             raise DomainError("rel_tol must be positive")
         if self.abs_tol < 0:
             raise DomainError("abs_tol must be nonnegative")
+        for name in ("rel_tol", "abs_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not _is_count(self.max_terms):
+            raise DomainError(f"max_terms must be an integer, got {self.max_terms!r}")
         if self.max_terms < 1:
             raise DomainError("max_terms must be at least 1")
 
@@ -234,6 +245,8 @@ class FracOrder:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise DomainError(f"order alpha must be positive, got {self.alpha!r}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"order alpha must be finite, got {self.alpha!r}")
 
     @property
     def is_integer(self) -> bool:
@@ -254,11 +267,13 @@ def q_bracket(r: float, q: float) -> float:
 def q_pochhammer(q: float, n: int) -> float:
     """(q)_n = (1 - q)(1 - q**2)...(1 - q**n); the empty product for n = 0."""
     _check_q(q)
+    if not _is_count(n):
+        raise DomainError(f"q_pochhammer needs an integer n, got {n!r}")
     if n < 0:
         raise DomainError("q_pochhammer needs n >= 0")
     prod = 1.0
     qi = q
-    for _ in range(int(n)):
+    for _ in range(n):
         prod *= 1.0 - qi
         qi *= q
     return prod

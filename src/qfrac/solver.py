@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DivergenceError, DomainError, NonConvergenceError, PreconditionError, StepError
 from .operators import OperatorKernel, _cached_kernel, build_kernel, fractional_integral
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
-from .special import MLSpec, _ml_series, _series_memo, convergence_ratio_estimate
+from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
 
 
 def _check_finite(**values: float) -> None:
@@ -135,13 +135,12 @@ def solve_linear_closed(
     The call evaluates one series per grid pair (i, j), and each term of a
     series is a q-product (t_i - s)_q^nu, which depends only on s/t_i (see
     :class:`qfrac.special._SeriesMemo`).  On the grid these ratios repeat
-    across pairs, so all series of the call share one memo: each distinct
-    product factor and each Gamma_q(alpha k + beta) is evaluated once per
-    call.  The memo is dropped when the call returns; inside a
-    :func:`qfrac.verify.run_suite` call the memo is that call's, which also
-    shares power sequences and series values between solves.  Either way
-    the result is the same float for float as with every product evaluated
-    afresh.
+    across pairs, so all series of the call share one memo: each
+    Gamma_q(alpha k + beta) is evaluated once per call, and each distinct
+    product factor once while the memo's process-wide store holds it, so a
+    repeated solve reads its factors from the store.  The memo is dropped
+    when the call returns.  The result is the same float for float as with
+    every product evaluated afresh.
 
     The residual's kernel weights carry the products (t_i - q t_j)_q^(alpha-1)
     that the forcing terms already evaluated, so a kernel not yet in
@@ -153,7 +152,7 @@ def solve_linear_closed(
     _check_convergence_domain(p)
     grid, q, al = p.grid, p.grid.q, p.alpha.alpha
     a = grid.points[p.a_index]
-    memo = _series_memo(q, tol)
+    memo = _SeriesMemo(q, tol)
     y = np.empty(grid.count)
     y[: p.a_index] = p.y0
     forcing = p.forcing.values.tolist()

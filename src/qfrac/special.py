@@ -13,8 +13,6 @@ summed as a series of positive terms instead, so neither cancels for t < 0.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator
@@ -52,8 +50,9 @@ class MLSpec:
             raise DomainError("beta must be positive")
         if self.t0 < 0:
             raise DomainError("t0 must be nonnegative")
-        if not math.isfinite(self.lam):
-            raise DomainError(f"lam must be finite, got {self.lam!r}")
+        for name in ("alpha", "beta", "t0", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ def convergence_ratio_estimate(alpha: float, q: float, t: float, a: float, lam: 
 
 class _SeriesMemo:
     """What the Mittag-Leffler series of one computation share, for one base q
-    and one tolerance: q-products, power sequences, the Gamma_q(alpha k + beta)
-    sequences and whole series values.
+    and one tolerance: q-products and the Gamma_q(alpha k + beta) sequences.
 
     A product depends on t and s only through r = s/t, since
     (t - s)_q^nu = t**nu (r; q)_inf / (q**nu r; q)_inf (Gasper & Rahman,
@@ -90,52 +88,34 @@ class _SeriesMemo:
     and most of them repeat as exact floats too.  Each product factor is
     therefore evaluated once per exact float (nu, r), and a hit takes the
     same float operations as a fresh evaluation, so results do not depend on
-    what the memo holds.  The k-th power (t - t0)_q^(e0 + alpha k) of a
-    series does not depend on lam, so series that differ only in lam read
-    one power sequence, and a series asked for again is not summed again.
-    Only a ``shared`` memo keeps those two: within one solve no two series
-    share a power sequence or a result.
+    what the memo holds.
 
-    A memo lives for one call: of the function that makes it, or, made
-    ``shared`` by :func:`_series_scope`, of the whole scope (one
-    ``run_suite`` call).  The memo itself is never kept beyond it, but a
-    shared memo takes its product tables from :data:`_PRODUCT_STORE`, a
-    process-wide least-recently-used cache bounded by entries, so the
-    product factors of one scope serve the next.  Power sequences, Gamma_q
-    lists and results stay with the memo.
+    A memo lives for one call of the function that makes it.  Its product
+    tables are those of :data:`_PRODUCT_STORE`, a process-wide
+    least-recently-used cache bounded by entries, so the product factors of
+    one call serve the next; the memo trims the store to its budget as it
+    is made.  The Gamma_q lists stay with the memo.
     """
 
-    def __init__(self, q: float, tol: Tolerance, shared: bool = False) -> None:
+    def __init__(self, q: float, tol: Tolerance) -> None:
         self.q = q
         self.max_terms = tol.max_terms
-        self.shared = shared
         self._products: dict[float, dict[float, float]] = {}
-        self._powers: dict[tuple[float, float, float, float], list[float]] = {}
         self._gammas: dict[tuple[float, float], list[float]] = {}
         self._log_gammas: dict[float, float] = {}
-        self.results: dict[tuple[MLSpec, float, bool], MLResult] = {}
+        _PRODUCT_STORE.trim()
 
     def products(self, nu: float) -> dict[float, float]:
         """The product factors of (t - s)_q^nu, keyed by s/t: the store's
-        table if the memo is shared, else one of its own."""
+        table, held for the memo's life even if the store evicts it."""
         products = self._products.get(nu)
         if products is None:
-            products = self._products[nu] = (
-                _PRODUCT_STORE.get((self.q, self.max_terms, nu), dict) if self.shared else {}
-            )
+            products = self._products[nu] = _PRODUCT_STORE.get((self.q, self.max_terms, nu), dict)
         return products
 
     def power(self, t: float, s: float, nu: float) -> float:
         """(t - s)_q^nu, as :func:`q_factorial_power` gives it."""
         return _q_factorial_power(t, s, nu, self.q, self.max_terms, self.products(nu))
-
-    def powers(self, alpha: float, exponent: float, t: float, t0: float) -> list[float]:
-        """(t - t0)_q^(exponent + alpha k) for k = 0, 1, ... as far as a
-        series in floats has extended the list; a list of its own for each
-        series unless the memo is shared."""
-        if not self.shared:
-            return []
-        return self._powers.setdefault((alpha, exponent, t, t0), [])
 
     def gammas(self, alpha: float, beta: float) -> list[float]:
         """Gamma_q(alpha k + beta) for k = 0, 1, ... as far as a series has
@@ -158,46 +138,15 @@ class _SeriesMemo:
 PRODUCT_STORE_ENTRIES = 4096
 
 
-#: product tables {s/t: factor}, one per (q, max_terms, nu), shared by the
-#: memos of every :func:`_series_scope` and bounded by their entries.  A
-#: factor depends only on its key and s/t, and a hit returns the float a
-#: fresh evaluation gives, so results do not depend on what the store holds.
-#: Tables grow after they are handed out, so the budget holds after
-#: :meth:`~qfrac.qcore._BoundedLRU.trim`, which each scope runs as it ends.
-#: Two threads filling one table at once at worst evaluate a factor twice
-#: and store the same float.
+#: product tables {s/t: factor}, one per (q, max_terms, nu), shared by every
+#: :class:`_SeriesMemo` and bounded by their entries.  A factor depends only
+#: on its key and s/t, and a hit returns the float a fresh evaluation gives,
+#: so results do not depend on what the store holds.  Tables grow after they
+#: are handed out, so the budget holds after
+#: :meth:`~qfrac.qcore._BoundedLRU.trim`, which each new memo runs.  Two
+#: threads filling one table at once at worst evaluate a factor twice and
+#: store the same float.
 _PRODUCT_STORE = _BoundedLRU(PRODUCT_STORE_ENTRIES, len)
-
-#: the memos of the active :func:`_series_scope`, one per (q, tolerance);
-#: None outside a scope.  A context variable, so concurrent scopes in other
-#: threads or tasks never see each other's memos.
-_SCOPE: ContextVar[dict[tuple[float, Tolerance], _SeriesMemo] | None] = ContextVar(
-    "qfrac_series_scope", default=None
-)
-
-
-@contextmanager
-def _series_scope() -> Iterator[None]:
-    """Let every series computation inside share one memo per (q, tol);
-    the memos are dropped when the scope ends, normally or by an error, and
-    the product store is trimmed to its budget."""
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-        _PRODUCT_STORE.trim()
-
-
-def _series_memo(q: float, tol: Tolerance) -> _SeriesMemo:
-    """The active scope's memo for (q, tol), or a fresh one outside a scope."""
-    scope = _SCOPE.get()
-    if scope is None:
-        return _SeriesMemo(q, tol)
-    memo = scope.get((q, tol))
-    if memo is None:
-        memo = scope[(q, tol)] = _SeriesMemo(q, tol, shared=True)
-    return memo
 
 
 def _log_abs(x: float) -> float:
@@ -252,10 +201,9 @@ def _ml_series(
     """sum_k lam**k (t - t0)_q^(alpha k + offset) / Gamma_q(alpha k + beta),
     with offset beta - 1 for the modified function and 0 otherwise.
 
-    ``memo``, built for this q and spec.tol, shares products, power
-    sequences, Gamma_q values and results with the other series of the
-    caller's computation (see :class:`_SeriesMemo`); without it the series
-    uses the memo of the active :func:`_series_scope`, or one of its own.
+    ``memo``, built for this q and spec.tol, shares products and Gamma_q
+    values with the other series of the caller's computation (see
+    :class:`_SeriesMemo`); without it the series makes one of its own.
     Either way the result is the same float.
     """
     label = "modified q-Mittag-Leffler" if modified else "q-Mittag-Leffler"
@@ -263,10 +211,7 @@ def _ml_series(
     if t < spec.t0:
         raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
     if memo is None:
-        memo = _series_memo(q, spec.tol)
-    key = (spec, t, modified)
-    if memo.shared and key in memo.results:
-        return memo.results[key]
+        memo = _SeriesMemo(q, spec.tol)
     est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
     if est >= 1.0:
         raise DivergenceError(
@@ -274,10 +219,7 @@ def _ml_series(
             ratio=est,
         )
     terms, ratio = _sum_until_small(_ml_terms(spec, t, q, modified, memo), spec.tol, label)
-    result = MLResult(math.fsum(terms), len(terms), ratio, True)
-    if memo.shared:
-        memo.results[key] = result
-    return result
+    return MLResult(math.fsum(terms), len(terms), ratio, True)
 
 
 def _ml_terms(
@@ -293,16 +235,9 @@ def _ml_terms(
     alpha, beta, lam, t0 = spec.alpha, spec.beta, spec.lam, spec.t0
     gammas = memo.gammas(alpha, beta)
     # factorial power advanced term-by-term through the exponent-addition
-    # identity: power(e + alpha) = power(e) * (t - q**e t0)_q^alpha; the
-    # sequence does not depend on lam, so series that share it extend one list
+    # identity: power(e + alpha) = power(e) * (t - q**e t0)_q^alpha
     exponent = beta - 1.0 if modified else 0.0
-    powers = memo.powers(alpha, exponent, t, t0)
-    if not powers:
-        powers.append(memo.power(t, t0, exponent))
-    power = powers[0]
-    # powers[1:last + 1] come from an earlier series; the list grows only
-    # here, as a series is summed to its end before another one starts
-    last, record = len(powers) - 1, memo.shared
+    power = memo.power(t, t0, exponent)
     steps = memo.products(alpha)  # read on every term, so fetched once
     lam_pow = 1.0
     for k in count():  # while lam**k and Gamma_q are finite floats
@@ -317,19 +252,14 @@ def _ml_terms(
         if abs(lam_pow * lam) == math.inf:
             break
         lam_pow *= lam
-        if k < last:
-            power = powers[k + 1]
-        else:
-            if power != 0.0:
-                shifted = t0 * q ** exponent
-                if shifted < t:
-                    power *= _q_factorial_power(t, shifted, alpha, q, memo.max_terms, steps)
-                else:
-                    # negative exponents can push the shifted point past t;
-                    # fall back to evaluating the next power from scratch
-                    power = memo.power(t, t0, exponent + alpha)
-            if record:
-                powers.append(power)
+        if power != 0.0:
+            shifted = t0 * q ** exponent
+            if shifted < t:
+                power *= _q_factorial_power(t, shifted, alpha, q, memo.max_terms, steps)
+            else:
+                # negative exponents can push the shifted point past t;
+                # fall back to evaluating the next power from scratch
+                power = memo.power(t, t0, exponent + alpha)
         exponent += alpha
     # past the float range: scale is [sign, log|lam**k power|]; term k is
     # still due after a Gamma_q overflow, not after a lam**(k + 1) overflow

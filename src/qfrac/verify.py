@@ -19,17 +19,15 @@ of each parameter combination as one block: one forward substitution over
 public function of :mod:`qfrac.gronwall` runs on one case, and
 cross-checked on the first case against that function.
 
-:func:`run_suite` runs its suites inside one series scope
-(:func:`qfrac.special._series_scope`): at each q, every Mittag-Leffler
-power sequence and Mittag-Leffler value the suites ask for is evaluated
-once per call, and the memos are dropped when the call returns or raises.
-Two process-wide caches outlive the call, each a
+Two process-wide caches outlive a suite, each a
 :class:`qfrac.qcore._BoundedLRU`: the q-product factors, in
 :data:`qfrac.special._PRODUCT_STORE`, bounded by entries, and the kernels,
 in :data:`qfrac.operators._KERNEL_CACHE`, bounded by bytes.  So each factor
-and kernel is evaluated once per process while its cache holds it.  A value
-read from a memo or a cache is the float a fresh evaluation gives, so
-reports do not depend on the scope or on what the caches hold.
+and kernel is evaluated once per process while its cache holds it.  Every
+other series value lives for one computation, in its
+:class:`qfrac.special._SeriesMemo`.  A value read from a memo or a cache is
+the float a fresh evaluation gives, so reports do not depend on what the
+caches hold.
 """
 from __future__ import annotations
 
@@ -76,7 +74,7 @@ from .solver import (
     solve_linear_iterative,
     solve_marching,
 )
-from .special import _series_memo, _series_scope
+from .special import _SeriesMemo
 
 _TINY = 1e-300
 
@@ -98,17 +96,17 @@ def suite_lemma1(seed: int, cases: int | None = None):
     """Factorial-power identities: exponent addition, scaling, and the two
     one-sided derivative rules, each at 1e-10 relative error.
 
-    The powers of one q share a :class:`qfrac.special._SeriesMemo`, the
-    ``run_suite`` call's or, outside one, the suite call's: each distinct
-    product factor is evaluated once per call, and the values are the
-    floats of :func:`qfrac.qcore.q_factorial_power`."""
+    The powers of one q share a :class:`qfrac.special._SeriesMemo`, whose
+    product factors the process-wide store keeps: each distinct factor is
+    evaluated once while the store holds it, and the values are the floats
+    of :func:`qfrac.qcore.q_factorial_power`."""
     pair_count = cases or 20
     exps = (0.25, 0.5, 1.3)
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
     for qi, q in enumerate((0.3, 0.5, 0.9)):
-        qfp = _series_memo(q, DEFAULT_TOL).power
+        qfp = _SeriesMemo(q, DEFAULT_TOL).power
         grid = make_grid(q, 6, 8)
         pts = grid.points
         rng = np.random.default_rng([seed, 10 + qi])
@@ -183,7 +181,7 @@ def suite_powerrule(seed: int, cases: int | None = None):
     errors: dict[str, float] = {}
     n_cases = 0
     for q in (0.3, 0.5, 0.9):
-        qfp = _series_memo(q, DEFAULT_TOL).power
+        qfp = _SeriesMemo(q, DEFAULT_TOL).power
         grid = make_grid(q, 11, 12)
         a = grid.points[0]
         for mu, al in product((0.0, 0.5, 1.0, 2.3), (0.25, 0.5, 0.9)):
@@ -494,9 +492,7 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     1, for a randomized suite or ``all``, which passes it to its randomized
     suites only.  Anything else raises DomainError before a suite runs.
 
-    The suites share one series scope, dropped when the call returns or
-    raises; only its product factors stay, in a bounded store (see the
-    module docstring)."""
+    The suites share only the process-wide caches of the module docstring."""
     if not _is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if cases is not None and (not _is_int(cases) or cases < 1):
@@ -508,13 +504,12 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     total = 0
     failures: list[str] = []
     errors: dict[str, float] = {}
-    with _series_scope():
-        for sub in _SUITES if name == "all" else (name,):
-            n, fail, errs = _SUITES[sub](seed, cases if sub in _RANDOMIZED else None)
-            total += n
-            failures.extend(fail)
-            for k, v in errs.items():
-                errors[f"{sub}.{k}" if name == "all" else k] = v
+    for sub in _SUITES if name == "all" else (name,):
+        n, fail, errs = _SUITES[sub](seed, cases if sub in _RANDOMIZED else None)
+        total += n
+        failures.extend(fail)
+        for k, v in errs.items():
+            errors[f"{sub}.{k}" if name == "all" else k] = v
     return {
         "suite": name,
         "seed": seed,

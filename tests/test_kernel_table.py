@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from qfrac import operators, qcore
+from qfrac import operators, qcore, special
 from qfrac.qcore import (
     DEFAULT_TOL, FracOrder, GridFn, _BoundedLRU, gamma_q, make_grid, q_factorial_power,
 )
@@ -49,6 +49,7 @@ def test_each_kernel_product_is_evaluated_once_per_solve(monkeypatch, q, alpha, 
 
     monkeypatch.setattr(qcore, "_product_factor", counted)
     monkeypatch.setattr(operators, "_KERNEL_CACHE", _BoundedLRU(1 << 20, operators._kernel_bytes))
+    monkeypatch.setattr(special, "_PRODUCT_STORE", _BoundedLRU(special.PRODUCT_STORE_ENTRIES, len))
     solve_linear_closed(p, via_modified_ml=modified)
     t = p.grid.points
     kernel_ratios = {q * t[j] / t[i] for i in range(1, len(t)) for j in range(1, i + 1)}

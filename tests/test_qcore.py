@@ -57,6 +57,10 @@ def test_q_pochhammer_values():
     assert q_pochhammer(0.5, 0) == 1.0
     assert q_pochhammer(0.5, 1) == 0.5
     assert q_pochhammer(0.5, 2) == 0.375
+    assert q_pochhammer(0.5, np.int64(2)) == 0.375
+    for n in (2.5, 2.0, math.nan, math.inf, True):
+        with pytest.raises(DomainError):
+            q_pochhammer(0.5, n)
 
 
 @hypothesis.given(q=q_strat, n=st.integers(min_value=0, max_value=30))
@@ -402,6 +406,9 @@ def test_frac_order():
         FracOrder(0.0)
     with pytest.raises(DomainError):
         FracOrder(-1.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            FracOrder(alpha)
 
 
 def test_tolerance_validation():
@@ -411,6 +418,11 @@ def test_tolerance_validation():
         Tolerance(abs_tol=-1.0)
     with pytest.raises(DomainError):
         Tolerance(max_terms=0)
+    for kwargs in ({"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.inf},
+                   {"max_terms": 2.5}, {"max_terms": 10.0}, {"max_terms": True}):
+        with pytest.raises(DomainError):
+            Tolerance(**kwargs)
+    assert Tolerance(max_terms=np.int64(20)).max_terms == 20
 
 
 def test_gamma_q_cache_is_consistent_across_threads():

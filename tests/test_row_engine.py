@@ -329,7 +329,7 @@ def test_suite_cache_leaves_reports_unchanged(monkeypatch, name, seed):
         def __init__(self, q, tol):
             self.power = lambda t, s, nu: q_factorial_power(t, s, nu, q, tol)
 
-    monkeypatch.setattr(verify, "_series_memo", Fresh)
+    monkeypatch.setattr(verify, "_SeriesMemo", Fresh)
     assert verify.run_suite(name, seed) == memoized
 
 
@@ -352,7 +352,7 @@ def test_suite_products_outlive_the_call(monkeypatch):
 
     real = qcore._product_factor
     monkeypatch.setattr(qcore, "_product_factor", counted)
-    monkeypatch.setattr(special, "_SeriesMemo", Counting)  # what run_suite's scope makes
+    monkeypatch.setattr(verify, "_SeriesMemo", Counting)  # what the suites make
     for name in ("lemma1", "powerrule"):
         store = qcore._BoundedLRU(special.PRODUCT_STORE_ENTRIES, len)
         monkeypatch.setattr(special, "_PRODUCT_STORE", store)  # a cleared store

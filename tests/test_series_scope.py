@@ -1,9 +1,8 @@
-"""One series memo per ``run_suite`` call: the scope shares q-products,
-power sequences and Mittag-Leffler values between the suites of one call,
-and nothing else may change.  Reports must be the golden bytes with or
-without the scope, and no memo may outlive the call.  The product factors
-alone outlive it, in one bounded process-wide store, and reports must not
-depend on what that store holds."""
+"""Every Mittag-Leffler memo lives for one call and takes its product
+factors from one bounded process-wide store, which outlives the call.
+Reports and solves must not depend on what that store holds, nor on which
+memos, threads or calls filled it, and the store must stay within its
+budget."""
 import gc
 import json
 import sys
@@ -15,19 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfrac import gronwall, qcore, solver, special, verify
-from qfrac.errors import DomainError
+from qfrac import qcore, special
 from qfrac.qcore import DEFAULT_TOL, FracOrder, GridFn, make_grid
 from qfrac.solver import LinearIVP, solve_linear_closed
-from qfrac.special import (
-    MLSpec, _SeriesMemo, _series_scope, mittag_leffler, mittag_leffler_modified
-)
+from qfrac.special import MLSpec, _ml_series, _SeriesMemo, mittag_leffler
 from qfrac.verify import run_suite
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_reports_scheme2.json").read_text())
-
-#: every module that asks the scope for a memo
-_ASKERS = (special, solver, gronwall, verify)
 
 
 def _golden(suite, seed=7, cases=None):
@@ -35,65 +28,16 @@ def _golden(suite, seed=7, cases=None):
     return next(e["report"] for e in GOLDEN if (e["suite"], e["seed"], e["cases"]) == key)
 
 
-def _shared_memos():
+def _fresh_store(monkeypatch, budget=special.PRODUCT_STORE_ENTRIES):
+    store = qcore._BoundedLRU(budget, len)
+    monkeypatch.setattr(special, "_PRODUCT_STORE", store)
+    return store
+
+
+def _assert_no_memo_left():
+    """Every memo lives for one call, so none is alive between calls."""
     gc.collect()
-    return [o for o in gc.get_objects() if isinstance(o, _SeriesMemo) and o.shared]
-
-
-def _assert_no_scope_left():
-    assert special._SCOPE.get() is None
-    assert _shared_memos() == []
-
-
-def _count_series(monkeypatch):
-    """A list that gains one entry per Mittag-Leffler series summed."""
-    summed = []
-    terms = special._ml_terms
-
-    def counting(spec, t, q, modified, memo):
-        summed.append((spec, t, modified))
-        return terms(spec, t, q, modified, memo)
-
-    monkeypatch.setattr(special, "_ml_terms", counting)
-    return summed
-
-
-@pytest.mark.parametrize("suite,series", [("corollary", 36), ("dependence", 12)])
-def test_each_series_is_summed_once_per_call(monkeypatch, suite, series):
-    # corollary's 3 fixed lambdas: q_gronwall_classical's closed-form check
-    # and the suite's own closed-form error read one series per grid point;
-    # dependence's two experiments read one bound factor
-    summed = _count_series(monkeypatch)
-    assert json.dumps(run_suite(suite, seed=7), sort_keys=True) == _golden(suite)
-    assert len(summed) == len(set(summed)) == series
-    summed.clear()
-    run_suite(suite, seed=7)  # the next call sums them again
-    assert len(summed) == series
-
-
-def test_series_outside_run_suite_are_summed_per_call(monkeypatch):
-    summed = _count_series(monkeypatch)
-    grid = make_grid(0.5, 11, 12)
-    first = gronwall._ml_per_point(grid, 0, 1.0, 0.3, DEFAULT_TOL)
-    assert gronwall._ml_per_point(grid, 0, 1.0, 0.3, DEFAULT_TOL) == first
-    assert len(summed) == 24
-
-
-def test_reports_do_not_depend_on_the_scope(monkeypatch):
-    scoped = [run_suite(e["suite"], seed=e["seed"], cases=e["cases"]) for e in GOLDEN]
-    made = []
-
-    def fresh(q, tol):  # a memo of its own for every request, as before the scope
-        made.append(q)
-        return _SeriesMemo(q, tol)
-
-    for module in _ASKERS:
-        monkeypatch.setattr(module, "_series_memo", fresh)
-    for entry, with_scope in zip(GOLDEN, scoped):
-        report = run_suite(entry["suite"], seed=entry["seed"], cases=entry["cases"])
-        assert json.dumps(report, sort_keys=True) == entry["report"]
-        assert json.dumps(with_scope, sort_keys=True) == entry["report"]
-    assert made
+    assert not [o for o in gc.get_objects() if isinstance(o, _SeriesMemo)]
 
 
 def _solver_problems():
@@ -107,141 +51,33 @@ def _solver_problems():
     return problems
 
 
-def test_solver_floats_do_not_depend_on_the_order_of_lambda():
-    # one scope serves both representations, whose forcing series share a
-    # spec and a point but not a series
+def test_solver_floats_do_not_depend_on_the_order_of_lambda(monkeypatch):
+    # a warm store serves both representations, whose forcing series share
+    # a spec and a point but not a series
     problems = _solver_problems()
     runs = [(key, modified) for key in problems for modified in (False, True)]
-    alone = {(key, m): solve_linear_closed(problems[key], via_modified_ml=m) for key, m in runs}
+    alone = {}
+    for key, m in runs:
+        _fresh_store(monkeypatch)
+        alone[key, m] = solve_linear_closed(problems[key], via_modified_ml=m)
     for order in (sorted(runs), sorted(runs, key=lambda r: (r[0][0], r[0][1], -r[0][2], r[1]))):
-        with _series_scope():
-            shared = {(key, m): solve_linear_closed(problems[key], via_modified_ml=m)
-                      for key, m in order}
+        _fresh_store(monkeypatch)
+        warm = {(key, m): solve_linear_closed(problems[key], via_modified_ml=m)
+                for key, m in order}
         for run, want in alone.items():
-            assert np.array_equal(shared[run].solution.values, want.solution.values), run
-            assert shared[run].residual == want.residual, run
+            assert np.array_equal(warm[run].solution.values, want.solution.values), run
+            assert warm[run].residual == want.residual, run
 
 
-def test_scope_keeps_the_two_functions_of_one_spec_apart():
-    spec = MLSpec(0.5, 0.7, 0.3, t0=0.25)
-    want = [mittag_leffler(spec, 1.0, 0.5), mittag_leffler_modified(spec, 1.0, 0.5)]
-    assert want[0] != want[1]
-    with _series_scope():
-        assert [mittag_leffler(spec, 1.0, 0.5), mittag_leffler_modified(spec, 1.0, 0.5)] == want
-
-
-def test_scope_shares_power_sequences_between_lambdas(monkeypatch):
-    # after lambda = 0.4, the shorter series of lambda = 0.2 read every power
-    # from the scope, so the solve evaluates only its 66 kernel powers
-    # (t_i - q t_j)_q^(alpha - 1), j <= i
-    problems = _solver_problems()
-    powers = []
-    factorial_power = special._q_factorial_power
-
-    def counting(*args):
-        powers.append(args)
-        return factorial_power(*args)
-
-    monkeypatch.setattr(special, "_q_factorial_power", counting)
-    solve_linear_closed(problems[0.5, 0.5, 0.2])
-    alone = len(powers)
-    with _series_scope():
-        solve_linear_closed(problems[0.5, 0.5, 0.4])
-        powers.clear()
-        solve_linear_closed(problems[0.5, 0.5, 0.2])
-    assert len(powers) == 66 < alone
-    assert {nu for _, _, nu, *_ in powers} == {0.5 - 1.0}
-
-
-def test_no_memo_outlives_run_suite():
-    _assert_no_scope_left()
-    run_suite("all", seed=7, cases=1)
-    _assert_no_scope_left()
-
-
-@pytest.mark.parametrize("call,error", [
-    (lambda: run_suite("all", seed=-1), DomainError),
-    (lambda: run_suite("all", seed=7, cases=0), DomainError),
-    (lambda: run_suite("gamma", seed=7, cases=3), DomainError),
-    (lambda: run_suite("no such suite", seed=7), KeyError),
-])
-def test_no_memo_outlives_a_rejected_call(call, error):
-    with pytest.raises(error):
-        call()
-    _assert_no_scope_left()
-
-
-def test_no_memo_outlives_a_suite_that_raises(monkeypatch):
-    def failing(seed, cases):
-        verify.suite_corollary(seed, cases)  # fills the scope's q = 0.5 memo
-        assert special._series_memo(0.5, DEFAULT_TOL).shared
-        raise RuntimeError("suite failed midway")
-
-    monkeypatch.setitem(verify._SUITES, "corollary", failing)
-    with pytest.raises(RuntimeError, match="midway"):
-        run_suite("all", seed=7)
-    _assert_no_scope_left()
-    # the next call starts from an empty scope and is unaffected
-    monkeypatch.undo()
-    assert json.dumps(run_suite("all", seed=7), sort_keys=True) == _golden("all")
-
-
-def test_solve_outside_run_suite_builds_a_private_memo(monkeypatch):
-    made = []
-
-    class Recording(_SeriesMemo):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(special, "_SeriesMemo", Recording)
-    p = _solver_problems()[0.5, 0.5, 0.2]
-    first = solve_linear_closed(p)
-    second = solve_linear_closed(p)
-    assert len(made) == 2 and made[0] is not made[1]
-    assert not any(memo.shared for memo in made)
-    assert np.array_equal(first.solution.values, second.solution.values)
-    made.clear()
-    with _series_scope():
-        solve_linear_closed(p)
-        solve_linear_closed(p)
-    assert len(made) == 1 and made[0].shared
-
-
-def test_concurrent_run_suite_calls_keep_their_own_scopes():
-    # more threads than cores, switching often, so that the suites of
-    # different calls interleave; each call must still see only its own memos
-    workers = 3
-    start = threading.Barrier(workers)
-    reports = [None] * workers
-
-    def run(slot):
-        start.wait()
-        reports[slot] = [json.dumps(run_suite("all", seed=7), sort_keys=True) for _ in range(2)]
-
-    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert reports == [[_golden("all")] * 2] * workers
-    _assert_no_scope_left()
-
-
-def _fresh_store(monkeypatch, budget=special.PRODUCT_STORE_ENTRIES):
-    store = qcore._BoundedLRU(budget, len)
-    monkeypatch.setattr(special, "_PRODUCT_STORE", store)
-    return store
+def _assert_within_budget_at_next_memo(store, budget):
+    """The last memo of a call may grow its tables past the budget; the next
+    memo trims the store, so every computation starts within the budget."""
+    _SeriesMemo(0.5, DEFAULT_TOL)
+    assert store.total() <= budget
 
 
 class _EvictionCounting(qcore._BoundedLRU):
-    """A store that counts the tables evicted while a scope asks for tables."""
+    """A store that counts the tables evicted while memos ask for tables."""
 
     evicted = 0
 
@@ -269,7 +105,7 @@ def test_reports_do_not_depend_on_the_product_store(monkeypatch, state):
         store.evicted = 0
         report = run_suite(entry["suite"], seed=entry["seed"], cases=entry["cases"])
         assert json.dumps(report, sort_keys=True) == entry["report"], entry["suite"]
-        assert store.total() <= budget
+        _assert_within_budget_at_next_memo(store, budget)
         evicted += store.evicted
     # only the 8-entry store evicts while a call runs
     assert (evicted > 0) == (state == "evicting")
@@ -290,20 +126,6 @@ def test_a_warm_store_serves_most_factors(monkeypatch):
     assert json.dumps(run_suite("all", seed=7), sort_keys=True) == _golden("all")
     # seed 7 needs only a few factors that seed 21 did not
     assert 0 < len(evaluated) == store.total() - first < 200
-
-
-def test_calls_outside_a_scope_leave_the_store_alone(monkeypatch):
-    store = _fresh_store(monkeypatch)
-    asked = []
-    monkeypatch.setattr(store, "get", lambda *key: asked.append(key))
-    monkeypatch.setattr(store, "trim", lambda: asked.append("trim"))
-    grid = make_grid(0.5, 11, 12)
-    solve_linear_closed(_solver_problems()[0.5, 0.5, 0.2])
-    solve_linear_closed(_solver_problems()[0.3, 0.9, 0.4], via_modified_ml=True)
-    gronwall._ml_per_point(grid, 0, 0.5, 0.3, DEFAULT_TOL)
-    gronwall._ml_bound_factor(grid, 0, FracOrder(0.5), 0.3, DEFAULT_TOL)
-    assert asked == []
-    assert store.total() == 0
 
 
 @pytest.mark.parametrize("budget", [special.PRODUCT_STORE_ENTRIES, 8])
@@ -330,8 +152,8 @@ def test_concurrent_run_suite_calls_share_one_store(monkeypatch, budget):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert reports == [_golden("all")] * workers
-    assert store.total() <= budget
-    _assert_no_scope_left()
+    _assert_within_budget_at_next_memo(store, budget)
+    _assert_no_memo_left()
 
 
 #: bytes per store entry that special.PRODUCT_STORE_ENTRIES documents
@@ -356,3 +178,98 @@ def test_store_bytes_per_entry_match_the_documented_figure(monkeypatch):
     assert 0.75 * _ENTRY_BYTES <= retained / entries <= 1.25 * _ENTRY_BYTES
     # so a full store stays under half a megabyte
     assert special.PRODUCT_STORE_ENTRIES * retained / entries < 512 * 1024
+
+
+def _count_factors(monkeypatch):
+    """A list that gains one entry per product factor evaluated."""
+    evaluated = []
+    real = qcore._product_factor
+
+    def counting(*args):
+        evaluated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qcore, "_product_factor", counting)
+    return evaluated
+
+
+@pytest.mark.parametrize("modified", [False, True])
+def test_a_repeated_solve_reads_every_factor_from_the_store(monkeypatch, modified):
+    _fresh_store(monkeypatch)
+    evaluated = _count_factors(monkeypatch)
+    p = _solver_problems()[0.5, 0.5, 0.2]
+    first = solve_linear_closed(p, via_modified_ml=modified)
+    assert evaluated
+    evaluated.clear()
+    second = solve_linear_closed(p, via_modified_ml=modified)
+    assert evaluated == []
+    assert np.array_equal(second.solution.values, first.solution.values)
+    assert second.residual == first.residual
+
+
+def test_each_new_memo_finds_the_store_within_its_budget(monkeypatch):
+    store = _fresh_store(monkeypatch, 8)
+    totals = []
+
+    class Recording(_SeriesMemo):
+        def __init__(self, q, tol):
+            super().__init__(q, tol)
+            totals.append(store.total())
+
+    monkeypatch.setattr(special, "_SeriesMemo", Recording)
+    points = make_grid(0.5, 8, 10).points
+    spec = MLSpec(0.5, 1.0, 0.3, t0=points[0])
+    for t in points[1:]:
+        mittag_leffler(spec, t, 0.5)
+        # each series fills its tables past the budget, the next memo trims them
+        assert store.total() > 8
+    assert len(totals) == len(points) - 1
+    assert max(totals) <= 8
+
+
+def test_threads_solving_against_a_small_store_get_the_serial_floats(monkeypatch):
+    # one q, so the threads fill and evict the same tables at once
+    problems = {key: p for key, p in _solver_problems().items() if key[0] == 0.5}
+    _fresh_store(monkeypatch)
+    serial = {key: solve_linear_closed(p) for key, p in problems.items()}
+    store = _fresh_store(monkeypatch, 8)
+    workers = 3
+    start = threading.Barrier(workers)
+    solved = [None] * workers
+
+    def run(slot):
+        start.wait()
+        solved[slot] = {key: solve_linear_closed(p) for key, p in problems.items()}
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in solved:
+        for key, want in serial.items():
+            assert np.array_equal(got[key].solution.values, want.solution.values), key
+            assert got[key].residual == want.residual, key
+    _assert_within_budget_at_next_memo(store, 8)
+
+
+def test_a_newer_memo_leaves_an_older_memo_in_use_unchanged(monkeypatch):
+    store = _fresh_store(monkeypatch, 8)
+    points = make_grid(0.5, 8, 10).points
+    spec = MLSpec(0.5, 1.0, 0.3, t0=points[0])
+    older = _SeriesMemo(0.5, DEFAULT_TOL)
+    before = [_ml_series(spec, t, 0.5, memo=older) for t in points]
+    tables = list(older._products.values())
+    newer = _SeriesMemo(0.5, DEFAULT_TOL)  # trims the older memo's tables away
+    _ml_series(MLSpec(0.9, 0.9, -0.4, t0=0.5), 1.0, 0.5, memo=newer)
+    held = list(store._items.values())
+    assert not any(table is other for table in tables for other in held)
+    assert [_ml_series(spec, t, 0.5, memo=older) for t in points] == before
+    _fresh_store(monkeypatch)
+    assert [_ml_series(spec, t, 0.5) for t in points] == before

@@ -111,6 +111,14 @@ def test_ml_spec_validation():
         MLSpec(0.5, 1.0, 0.1, t0=-1.0)
     with pytest.raises(DomainError):
         mittag_leffler(MLSpec(0.5, 1.0, 0.1, t0=0.5), 0.25, Q)  # t < t0
+    # non-finite parameters are rejected before any term is summed
+    for kwargs in ({"t0": math.nan}, {"t0": math.inf}):
+        with pytest.raises(DomainError, match="t0 must be finite"):
+            MLSpec(0.5, 1.0, 0.3, **kwargs)
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        MLSpec(math.inf, 1.0, 0.1)
+    with pytest.raises(DomainError, match="beta must be finite"):
+        MLSpec(0.5, math.inf, 0.1)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
