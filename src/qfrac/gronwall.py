@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, PreconditionError, QFracError
-from .operators import OperatorKernel, build_kernel
+from .operators import OperatorKernel, _integrate, build_kernel
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
 from .solver import NonlinearIVP, forward_substitution, solve_marching
 from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
@@ -400,10 +400,7 @@ def _comparison_cases(
         products = (x * w, x * v)
     for vals in products:
         _require(np.isfinite(vals), block, DomainError, "grid function values must be finite")
-        vals[: a_index + 1] = 0.0
-        # one product per case: a matrix product's sums would round differently
-        omega.append(np.stack([weights @ col for col in np.ascontiguousarray(vals.T)], axis=1)
-                     if block else weights @ vals)
+        omega.append(_integrate(weights, vals, a_index))
     sl = slice(a_index, grid.count)
     w_a, v_a = w[a_index], v[a_index]
     ceiling = sart_bound(grid, alpha)
@@ -477,23 +474,33 @@ def q_gronwall_classical(
     For constant delta the series bound is cross-checked against the
     order-1 Mittag-Leffler closed form; a disagreement raises.
     """
+    return _q_gronwall_classical(v, delta, a_index, tol)[0]
+
+
+def _q_gronwall_classical(
+    v: GridFn, delta: GridFn, a_index: int, tol: Tolerance
+) -> tuple[BoundResult, list[float] | None]:
+    """:func:`q_gronwall_classical`'s result, with the values E_1(lam, t - a)
+    per grid point (:func:`_ml_per_point`) it checked a constant
+    delta = lam against, or None for a delta that is not constant."""
     grid = v.grid
     _check_delta(grid, delta.values)
     inp = GronwallInput(v=v, mu=delta, alpha=FracOrder(1.0), a_index=a_index)
     result = gronwall_bound(inp, tol)
     lam = float(delta.values[0])
-    if (delta.values == lam).all():
-        v_a = float(v.values[a_index])
-        ml = _ml_per_point(grid, a_index, 1.0, lam, tol)
-        for i in range(a_index, grid.count):
-            closed = v_a * ml[i]
-            got = float(result.bound.values[i])
-            if abs(got - closed) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(closed)):
-                raise QFracError(
-                    f"series/closed-form mismatch at t={grid.points[i]!r}: "
-                    f"{got!r} vs {closed!r}"
-                )
-    return result
+    if not (delta.values == lam).all():
+        return result, None
+    v_a = float(v.values[a_index])
+    ml = _ml_per_point(grid, a_index, 1.0, lam, tol)
+    for i in range(a_index, grid.count):
+        closed = v_a * ml[i]
+        got = float(result.bound.values[i])
+        if abs(got - closed) > 100.0 * (tol.abs_tol + tol.rel_tol * abs(closed)):
+            raise QFracError(
+                f"series/closed-form mismatch at t={grid.points[i]!r}: "
+                f"{got!r} vs {closed!r}"
+            )
+    return result, ml
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,10 +42,13 @@ def nabla_derivative(f: GridFn, at_index: int) -> float:
 
 
 def _nabla_values(grid: QGrid, values: np.ndarray) -> np.ndarray:
-    """Backward difference quotient at every point; NaN where no predecessor exists."""
+    """Backward difference quotient at every point; NaN where no predecessor
+    exists.  ``values`` is (N,), or (N, K) for K grid functions, one column
+    each."""
     out = np.empty_like(values)
     out[0] = np.nan
-    out[1:] = (values[1:] - values[:-1]) / ((1.0 - grid.q) * grid.t[1:])
+    step = (1.0 - grid.q) * grid.t[1:]
+    out[1:] = (values[1:] - values[:-1]) / (step if values.ndim == 1 else step[:, None])
     return out
 
 
@@ -169,13 +172,45 @@ def _build_kernel(
     return OperatorKernel(grid=grid, a_index=a_index, alpha=FracOrder(al), weights=w)
 
 
+def _integrate(weights: np.ndarray, values: np.ndarray, a_index: int) -> np.ndarray:
+    """The fractional integral with kernel weights ``weights`` of (N,) values,
+    or of each column of (N, K) values; values at and below the lower limit
+    are zero-weight and set to 0 first, which keeps NaN markers inert.
+
+    A block takes one matrix-vector product per column, as a single case
+    does: a matrix product's sums would round differently."""
+    vals = np.array(values)
+    vals[: a_index + 1] = 0.0
+    if vals.ndim == 1:
+        return weights @ vals
+    return np.stack([weights @ col for col in np.ascontiguousarray(vals.T)], axis=1)
+
+
 def fractional_integral(f: GridFn, kernel: OperatorKernel) -> GridFn:
     """Apply the kernel; the result vanishes at and below the lower limit."""
     if f.grid != kernel.grid:
         raise GridMismatchError("function and kernel live on different grids")
-    vals = np.array(f.values)
-    vals[: kernel.a_index + 1] = 0.0  # zero-weight columns; keeps NaN markers inert
-    return GridFn._owned(f.grid, kernel.weights @ vals)
+    return GridFn._owned(f.grid, _integrate(kernel.weights, f.values, kernel.a_index))
+
+
+def _caputo_of_differences(
+    grid: QGrid, top: np.ndarray, a_index: int, alpha: FracOrder, tol: Tolerance
+) -> np.ndarray:
+    """The Caputo derivative of order alpha from its n-th nabla differences
+    ``top`` ((N,) or (N, K)), n = alpha.n: ``top`` itself for an integer
+    order, else its order-(n - alpha) fractional integral from a."""
+    n = alpha.n
+    if alpha.is_integer:
+        return top
+    if grid.count <= n:
+        raise BoundaryError(f"grid too short for {n} difference levels")
+    if a_index < n - 1:
+        raise BoundaryError(
+            f"order-{n} differences start at index {n}; lower limit {a_index} is too early"
+        )
+    # the undefined head lies at or below a_index, so _integrate zeroes it
+    kernel = build_kernel(grid, a_index, FracOrder(n - alpha.alpha), tol)
+    return _integrate(kernel.weights, top, a_index)
 
 
 def caputo_derivative(
@@ -187,25 +222,44 @@ def caputo_derivative(
     Integer orders reduce to the n-fold nabla derivative; its first n points
     have no predecessor chain and come back as NaN rather than extrapolated.
     """
-    grid = f.grid
+    vals = f.values
+    for _ in range(alpha.n):
+        vals = _nabla_values(f.grid, vals)
+    return GridFn._owned(f.grid, _caputo_of_differences(f.grid, vals, a_index, alpha, tol))
+
+
+def _inverse_identity_residual(
+    grid: QGrid, values: np.ndarray, a_index: int, alpha: FracOrder, tol: Tolerance
+) -> float | np.ndarray:
+    """:func:`caputo_inverse_identity_check` of the (N,) values of one case,
+    or, for (N, K) values, the (K,) residuals of K cases, one per column.
+
+    The nabla differences and the q-Taylor part are formed for all columns
+    at once, and each column's kernel products are those of a single case,
+    so a column's residual is the float of that case checked alone."""
     n = alpha.n
-    if alpha.is_integer:
-        vals = np.array(f.values)
-        for _ in range(n):
-            vals = _nabla_values(grid, vals)
-        return GridFn._owned(grid, vals)
-    if grid.count <= n:
-        raise BoundaryError(f"grid too short for {n} difference levels")
     if a_index < n - 1:
         raise BoundaryError(
-            f"order-{n} differences start at index {n}; lower limit {a_index} is too early"
+            f"identity needs the order-{n} derivative on (a, t]; raise a_index"
         )
-    vals = np.array(f.values)
+    # levels[k] is the k-th nabla difference: the Taylor part reads levels
+    # 0..n-1 at a, the Caputo derivative starts from level n
+    levels = [values]
     for _ in range(n):
-        vals = _nabla_values(grid, vals)
-    vals[:n] = 0.0  # undefined head, never weighted because a_index >= n - 1
-    kernel = build_kernel(grid, a_index, FracOrder(n - alpha.alpha), tol)
-    return fractional_integral(GridFn._owned(grid, vals), kernel)
+        levels.append(_nabla_values(grid, levels[-1]))
+    cap = _caputo_of_differences(grid, levels[n], a_index, alpha, tol)
+    kernel = build_kernel(grid, a_index, FracOrder(alpha.alpha), tol)
+    recon = _integrate(kernel.weights, cap, a_index)
+    a = grid.points[a_index]
+    taylor = np.zeros(values.shape)
+    for k in range(n):
+        coeff = levels[k][a_index] / gamma_q(k + 1.0, grid.q, tol)
+        powers = np.array(
+            [q_factorial_power(t, a, float(k), grid.q, tol) for t in grid.points[a_index:]]
+        )
+        taylor[a_index:] += (powers if values.ndim == 1 else powers[:, None]) * coeff
+    resid = np.max(np.abs(recon - (values - taylor))[a_index:], axis=0)
+    return float(resid) if values.ndim == 1 else resid
 
 
 def caputo_inverse_identity_check(
@@ -217,25 +271,7 @@ def caputo_inverse_identity_check(
     For 0 < alpha <= 1 the subtracted part is just f(a), so this measures the
     defect of the inversion identity on the grid.
     """
-    grid = f.grid
-    n = alpha.n
-    if a_index < n - 1:
-        raise BoundaryError(
-            f"identity needs the order-{n} derivative on (a, t]; raise a_index"
-        )
-    cap = caputo_derivative(f, a_index, alpha, tol)
-    kernel = build_kernel(grid, a_index, FracOrder(alpha.alpha), tol)
-    recon = fractional_integral(cap, kernel)
-    a = grid.points[a_index]
-    taylor = np.zeros(grid.count)
-    level = np.array(f.values)
-    for k in range(n):
-        coeff = float(level[a_index]) / gamma_q(k + 1.0, grid.q, tol)
-        for i in range(a_index, grid.count):
-            taylor[i] += coeff * q_factorial_power(grid.points[i], a, float(k), grid.q, tol)
-        level = _nabla_values(grid, level)
-    resid = recon.values - (f.values - taylor)
-    return float(np.max(np.abs(resid[a_index:])))
+    return _inverse_identity_residual(f.grid, f.values, a_index, alpha, tol)
 
 
 @dataclass(frozen=True, eq=False)

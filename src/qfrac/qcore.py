@@ -89,6 +89,8 @@ class QGrid:
 
     def __post_init__(self) -> None:
         _check_q(self.q)
+        if not _is_count(self.n_start):
+            raise DomainError(f"n_start must be an integer, got {self.n_start!r}")
         if not self.points:
             raise DomainError("grid needs at least one point")
         if self.points[0] <= 0.0:
@@ -159,8 +161,12 @@ class _BoundedLRU:
 
 
 def make_grid(q: float, n_start: int, count: int) -> QGrid:
-    """Materialize the window q**n_start, q**(n_start-1), ... (count points)."""
+    """Materialize the window q**n_start, q**(n_start-1), ... (count points);
+    n_start and count must be integers (Python or numpy ints, not bools)."""
     _check_q(q)
+    for name, value in (("n_start", n_start), ("count", count)):
+        if not _is_count(value):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise DomainError("count must be at least 1")
     start = float(q) ** n_start

@@ -190,8 +190,15 @@ def solve_linear_closed(
 
 def linear_picard_step(p: LinearIVP, kernel: OperatorKernel, y: GridFn) -> GridFn:
     """One successive-approximation update y -> y0 + lam I^alpha y + I^alpha forcing."""
-    out = p.y0 + p.lam * fractional_integral(y, kernel).values \
-        + fractional_integral(p.forcing, kernel).values
+    return _picard_step(p, kernel, y, fractional_integral(p.forcing, kernel).values)
+
+
+def _picard_step(
+    p: LinearIVP, kernel: OperatorKernel, y: GridFn, forced: np.ndarray
+) -> GridFn:
+    """:func:`linear_picard_step`, given ``forced`` = I^alpha forcing, which
+    does not change from one iteration to the next."""
+    out = p.y0 + p.lam * fractional_integral(y, kernel).values + forced
     out[: p.a_index] = p.y0
     return GridFn._owned(p.grid, out)
 
@@ -200,13 +207,15 @@ def solve_linear_iterative(
     p: LinearIVP, max_iter: int = 200, tol: Tolerance = DEFAULT_TOL
 ) -> SolveReport:
     """Successive approximation from the constant y0, iterating whole grid
-    functions until the sup-norm update falls below tolerance."""
+    functions until the sup-norm update falls below tolerance.  The forcing
+    is integrated once per solve; every iteration adds that same array."""
     _check_convergence_domain(p)
     kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
+    forced = fractional_integral(p.forcing, kernel).values
     y = GridFn.constant(p.grid, p.y0)
     last_delta = math.inf
     for m in range(1, max_iter + 1):
-        y_next = linear_picard_step(p, kernel, y)
+        y_next = _picard_step(p, kernel, y, forced)
         last_delta = float(np.abs(y_next.values - y.values).max())
         y = y_next
         scale = float(np.abs(y.values).max())

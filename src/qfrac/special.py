@@ -300,13 +300,20 @@ def mittag_leffler_modified(spec: MLSpec, t: float, q: float) -> MLResult:
     return _ml_series(spec, t, q, modified=True)
 
 
+def _check_finite_t(t: float) -> None:
+    """Raise DomainError unless t is a finite number (NaN and +-inf are not)."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+
+
 def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """e_q(t) = sum_k t**k / [k]_q!, convergent for |t| (1 - q) < 1.
 
     Evaluated as E_q((1 - q) t) (Gasper & Rahman, Basic Hypergeometric
     Series, 1.3), whose product has only positive factors for t < 0, where
     the series above cancels.  Where that product is too long, the series
-    is summed instead, as :func:`q_exp_big` describes.
+    is summed instead, as :func:`q_exp_big` describes.  A t that is not
+    finite raises DomainError.
     """
     return _q_exp_small_with_terms(t, q, tol)[0]
 
@@ -314,6 +321,7 @@ def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def _q_exp_small_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
     """(e_q(t), factors of the E_q product used, or series terms summed)."""
     _check_q(q)
+    _check_finite_t(t)
     ratio_limit = abs(t) * (1.0 - q)
     if ratio_limit >= 1.0:
         raise DivergenceError(
@@ -341,6 +349,7 @@ def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     default) and |t| < 1, the series is summed instead, for t < 0 as
     1 / sum_n q**(n(n-1)/2) |t|**n / (q)_n (Gasper & Rahman (1.3.15)), whose
     terms are positive too.  For |t| >= 1 the NonConvergenceError stands.
+    A t that is not finite raises DomainError.
     """
     return _q_exp_big_with_terms(t, q, tol)[0]
 
@@ -348,6 +357,7 @@ def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
     """(E_q(t), factors of its product used, or series terms summed)."""
     _check_q(q)
+    _check_finite_t(t)
     return _q_exp_with_terms(t, t / (1.0 - q), q, tol, "E_q series")
 
 

@@ -17,7 +17,9 @@ Suites gronwall and comparison, and corollary's random cases, run the cases
 of each parameter combination as one block: one forward substitution over
 (N, K) right-hand sides, through the input checks and the routine that the
 public function of :mod:`qfrac.gronwall` runs on one case, and
-cross-checked on the first case against that function.
+cross-checked on the first case against that function.  Suite lemma22 checks
+each parameter combination's cases as one (N, K) block through the routine
+of :func:`qfrac.operators.caputo_inverse_identity_check`.
 
 Two process-wide caches outlive a suite, each a
 :class:`qfrac.qcore._BoundedLRU`: the q-product factors, in
@@ -50,7 +52,7 @@ from .gronwall import (
     _check_delta,
     _comparison_cases,
     _linear_rows,
-    _ml_per_point,
+    _q_gronwall_classical,
     _ulp_distance,
     dependence_experiment,
     gronwall_bound,
@@ -58,7 +60,7 @@ from .gronwall import (
     sart_bound,
     verify_comparison,
 )
-from .operators import build_kernel, fractional_integral
+from .operators import _inverse_identity_residual, build_kernel, fractional_integral
 from .qcore import (
     DEFAULT_TOL,
     FracOrder,
@@ -203,20 +205,23 @@ def suite_powerrule(seed: int, cases: int | None = None):
 
 
 def suite_lemma22(seed: int, cases: int | None = None):
-    """Inversion identity residual for random grid functions, 1e-8."""
+    """Inversion identity residual for random grid functions, 1e-8.
+
+    Each (q, alpha) pair checks its cases as one block, one column per case,
+    through the routine of :func:`caputo_inverse_identity_check`; a column's
+    residual is the float that function gives for that case alone."""
     per_pair = cases or 20
     failures: list[str] = []
     errors: dict[str, float] = {}
     n_cases = 0
-    from .operators import caputo_inverse_identity_check
-
     for pi, (q, al) in enumerate(product((0.3, 0.5), (0.5, 0.8))):
         grid = make_grid(q, 9, 10)
         rng = np.random.default_rng([seed, 40 + pi])
-        for c in range(per_pair):
+        # row c holds the floats of case c's rng.uniform(-1, 1, N) draw
+        values = rng.uniform(-1.0, 1.0, (per_pair, grid.count)).T
+        resids = _inverse_identity_residual(grid, values, 0, FracOrder(al), DEFAULT_TOL)
+        for c, resid in enumerate(resids.tolist()):
             n_cases += 1
-            f = GridFn(grid, rng.uniform(-1.0, 1.0, grid.count))
-            resid = caputo_inverse_identity_check(f, 0, FracOrder(al))
             _record(errors, "residual", resid)
             if resid > 1e-8:
                 failures.append(f"lemma22 q={q} alpha={al} case={c}: {resid:.3e}")
@@ -397,8 +402,7 @@ def suite_corollary(seed: int, cases: int | None = None):
         v_a = float(rng.uniform(0.5, 2.0))
         slack = rng.uniform(0.0, 1.0, n)
         v = GridFn._owned(grid, _linear_rows(kernel, delta.values, v_a, slack, clamp=True))
-        result = q_gronwall_classical(v, delta, 0)
-        ml = _ml_per_point(grid, 0, 1.0, lam, DEFAULT_TOL)
+        result, ml = _q_gronwall_classical(v, delta, 0, DEFAULT_TOL)
         bound = result.bound.values.tolist()
         worst = max([0.0] + [_rel_err(b, v_a * m) for b, m in zip(bound, ml)])
         _record(errors, "closed_form", worst)

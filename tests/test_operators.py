@@ -397,6 +397,22 @@ def test_caputo_inverse_identity_order_above_one():
     assert resid <= 1e-8
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+def test_block_identity_columns_are_the_one_case_residuals(q, alpha):
+    # each column of a block is checked as that case alone, bit for bit
+    grid = make_grid(q, 8, 9)
+    order = FracOrder(alpha)
+    rng = np.random.default_rng([11, round(10 * q), round(10 * alpha)])
+    cols = rng.uniform(-1.0, 1.0, (grid.count, 5))
+    for a_index in range(order.n - 1, 3):
+        block = operators._inverse_identity_residual(grid, cols, a_index, order, DEFAULT_TOL)
+        assert block.shape == (5,)
+        for c in range(5):
+            one = caputo_inverse_identity_check(GridFn(grid, cols[:, c]), a_index, order)
+            assert block[c].tobytes() == np.float64(one).tobytes(), (a_index, c)
+
+
 # ------------------------------------------------------------------- omega
 
 def test_omega_constant_coefficient_on_one():

@@ -14,6 +14,7 @@ from qfrac.qcore import (
     GAMMA_CACHE_SIZE,
     FracOrder,
     GridFn,
+    QGrid,
     Tolerance,
     gamma_q,
     make_grid,
@@ -329,6 +330,16 @@ def test_make_grid_range_errors():
         make_grid(0.5, 5000, 3)  # anchor underflows to 0
     with pytest.raises(DomainError):
         make_grid(0.5, 0, 0)
+    # grid indices are integers: q**2.5 is off the time scale {q**n}
+    for n_start, count in ((2.5, 3), (2.0, 3), (True, 3), (2, 2.5), (2, 3.0), (2, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            make_grid(0.5, n_start, count)
+    for bad in (2.5, 2.0, True, None):
+        with pytest.raises(DomainError, match="n_start must be an integer"):
+            QGrid(0.5, bad, (0.25, 0.5))
+    g = make_grid(0.5, np.int64(2), np.int64(3))
+    assert g == make_grid(0.5, 2, 3) and type(g.n_start) is int
+    assert QGrid(0.5, np.int64(2), (0.25, 0.5)).points == (0.25, 0.5)
 
 
 @hypothesis.given(q=q_strat, n_start=st.integers(-20, 60), count=st.integers(1, 64))

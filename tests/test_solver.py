@@ -135,6 +135,26 @@ def test_iterative_zero_lambda_converges_in_one_iteration():
     assert np.allclose(rep.solution.values, 2.0)
 
 
+@pytest.mark.parametrize("a_index", [0, 2])
+def test_iterative_is_a_loop_of_picard_steps(a_index):
+    # the solve integrates the forcing once; each of its iterates must be
+    # the float array linear_picard_step gives, which integrates it per step
+    p = LinearIVP(alpha=FracOrder(0.7), lam=0.3, a_index=a_index, y0=1.25,
+                  forcing=GridFn.from_callable(GRID, lambda t: math.sin(3.0 * t)))
+    k = build_kernel(GRID, a_index, p.alpha)
+    tol = Tolerance()
+    y = GridFn.constant(GRID, p.y0)
+    for m in range(1, 201):
+        y_next = linear_picard_step(p, k, y)
+        delta = float(np.abs(y_next.values - y.values).max())
+        y = y_next
+        if delta <= tol.abs_tol + tol.rel_tol * float(np.abs(y.values).max()):
+            break
+    rep = solve_linear_iterative(p, tol=tol)
+    assert rep.iterations == m > 5
+    assert rep.solution.values.tobytes() == y.values.tobytes()
+
+
 def test_iterative_matches_closed():
     p = linear_ivp(alpha=0.5, lam=0.4)
     it = solve_linear_iterative(p)

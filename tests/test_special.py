@@ -244,6 +244,9 @@ def test_q_exp_small_divergence():
     for t in (2.0, -19.0, -12.0):
         with pytest.raises(DivergenceError):
             q_exp_small(t, Q)  # |t| (1-q) >= 1
+    for t in (math.nan, math.inf, -math.inf):  # NaN slipped through as a NaN value
+        with pytest.raises(DomainError, match="t must be finite"):
+            q_exp_small(t, Q)
 
 
 def test_q_exp_identity():
@@ -297,6 +300,9 @@ def test_q_exp_big_near_q_one_refuses_past_the_series(t):
 
 def test_q_exp_big_values():
     assert q_exp_big(0.0, Q) == 1.0
+    for t in (math.nan, math.inf, -math.inf):  # a NaN value, a bare OverflowError
+        with pytest.raises(DomainError, match="t must be finite"):
+            q_exp_big(t, Q)
     assert q_exp_big(0.5, Q) == pytest.approx(3.4627466194550636, rel=1e-13)
     assert q_exp_big(0.5, Q) == pytest.approx(float(ref_Eq_product(0.5, Q)), rel=1e-13)
 

@@ -75,11 +75,13 @@ def test_standalone_golden_entries_add_up_to_verify_all():
 
 
 def _recorded_inputs(monkeypatch, cases):
-    """The (v, mu) of each gronwall and random corollary case and the
-    (w, v, x) of each comparison case, in case order, of one run of each
-    suite at seed 5, read from the columns of the blocks the suites check."""
-    seen = {"gronwall": [], "comparison": [], "corollary": []}
+    """The (v, mu) of each gronwall and random corollary case, the (w, v, x)
+    of each comparison case and the values f of each lemma22 case, in case
+    order, of one run of each suite at seed 5, read from the columns of the
+    blocks the suites check."""
+    seen = {"gronwall": [], "comparison": [], "corollary": [], "lemma22": []}
     bound, compare = gronwall._bound_cases, gronwall._comparison_cases
+    identity = operators._inverse_identity_residual
     running = []
 
     def recording_bound(grid, v, mu, *args, **kwargs):
@@ -90,9 +92,14 @@ def _recorded_inputs(monkeypatch, cases):
         seen["comparison"].extend(zip(w.T.tolist(), v.T.tolist(), x.T.tolist()))
         return compare(grid, w, v, x, *args, **kwargs)
 
+    def recording_identity(grid, values, *args, **kwargs):
+        seen["lemma22"].extend(values.T.tolist())
+        return identity(grid, values, *args, **kwargs)
+
     # suites gronwall and corollary both solve their blocks with _bound_cases
     monkeypatch.setattr(verify, "_bound_cases", recording_bound)
     monkeypatch.setattr(verify, "_comparison_cases", recording_compare)
+    monkeypatch.setattr(verify, "_inverse_identity_residual", recording_identity)
     for suite in seen:
         running.append(suite)
         assert run_suite(suite, seed=5, cases=cases)["failures"] == []
@@ -133,6 +140,29 @@ def test_block_draws_are_the_case_by_case_uniform_draws(monkeypatch):
         assert delta == rng.uniform(0.0, 0.98 / (1.0 - 0.5), 12).tolist()
         assert v[0] == rng.uniform(0.0, 2.0)
         rng.uniform(0.0, 1.0, 12)
+    for pair in range(4):
+        rng = np.random.default_rng([5, 40 + pair])
+        for f in seen["lemma22"][3 * pair:3 * pair + 3]:
+            assert f == rng.uniform(-1.0, 1.0, 10).tolist()
+    assert len(seen["lemma22"]) == 4 * 3
+
+
+def test_corollary_sums_each_mittag_leffler_series_once(monkeypatch):
+    # each of the three constant-delta cases needs E_1(lam, t - a) once: for
+    # q_gronwall_classical's cross-check and for the suite's own error
+    calls = []
+    ml_per_point = gronwall._ml_per_point
+
+    def counting(*args):
+        calls.append(args)
+        return ml_per_point(*args)
+
+    monkeypatch.setattr(gronwall, "_ml_per_point", counting)
+    # absent from verify when the suite reads the values q_gronwall_classical made
+    monkeypatch.setattr(verify, "_ml_per_point", counting, raising=False)
+    report = run_suite("corollary", seed=7)
+    assert report == _golden_seed7("corollary")
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("cases", [1, 3, 7])
