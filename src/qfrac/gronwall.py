@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OperatorKernel, _integrate, build_kernel
-from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
+from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, _check_finite, _check_index
 from .solver import NonlinearIVP, forward_substitution, solve_marching
 from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
 
@@ -145,8 +145,7 @@ def _check_bound_input(
     the (N, K) arrays of K cases, one column each."""
     if alpha.alpha > 1.0:
         raise DomainError("the bound is stated for orders in (0, 1]")
-    if not 0 <= a_index < grid.count:
-        raise DomainError(f"a_index {a_index} outside grid")
+    _check_index(grid, a_index=a_index)
     block = mu.ndim == 2
     _require(np.isfinite(v) & np.isfinite(mu), block, DomainError, "v and mu must be finite")
     _require(mu >= 0.0, block, DomainError, "coefficient mu must be nonnegative")
@@ -319,7 +318,7 @@ def gronwall_bound(
     satisfied[: inp.a_index] = True
     return BoundResult(
         bound=GridFn._owned(grid, bound),
-        terms_used=grid.count - inp.a_index - 1,
+        terms_used=grid.count - int(inp.a_index) - 1,
         satisfied=satisfied,
         max_violation=float(worst),
     )
@@ -350,8 +349,7 @@ def _check_comparison_input(
     or the (N, K) arrays of K cases, one column each."""
     if alpha.alpha > 1.0:
         raise DomainError("the comparison check is stated for orders in (0, 1]")
-    if not 0 <= a_index < grid.count:
-        raise DomainError(f"a_index {a_index} outside grid")
+    _check_index(grid, a_index=a_index)
     finite = np.isfinite(w) & np.isfinite(v) & np.isfinite(x)
     _require(finite, w.ndim == 2, DomainError, "w, v and x must be finite")
 
@@ -427,6 +425,7 @@ def verify_comparison(
     the conclusion is never asserted when a hypothesis fails.  A product
     x * w or x * v that overflows raises DomainError.
     """
+    _check_finite(tol=tol)
     return _comparison_cases(inp.w.grid, inp.w.values, inp.v.values, inp.x.values,
                              inp.alpha, inp.a_index, tol, work_tol)
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, GridMismatchError
+from .errors import BoundaryError, DomainError, GridMismatchError, RangeError
 from .qcore import (
     DEFAULT_TOL,
     FracOrder,
@@ -26,6 +26,9 @@ from .qcore import (
     QGrid,
     Tolerance,
     _BoundedLRU,
+    _check_finite,
+    _check_index,
+    _check_integer,
     _q_factorial_power,
     gamma_q,
     q_factorial_power,
@@ -34,6 +37,7 @@ from .qcore import (
 
 def nabla_derivative(f: GridFn, at_index: int) -> float:
     """(f(t) - f(qt)) / ((1 - q) t) at t = points[at_index]."""
+    _check_index(f.grid, BoundaryError, at_index=at_index)
     if at_index < 1:
         raise BoundaryError("nabla derivative needs a predecessor (index >= 1)")
     grid = f.grid
@@ -59,10 +63,9 @@ def nabla_integral(f: GridFn, from_index: int, to_index: int) -> float:
     the infinite Jackson tails below the lower limit cancel, leaving this
     exact finite sum.
     """
+    _check_index(f.grid, BoundaryError, from_index=from_index, to_index=to_index)
     if from_index > to_index:
         raise DomainError("from_index must not exceed to_index")
-    if from_index < 0 or to_index >= f.grid.count:
-        raise BoundaryError("integration limits outside the grid")
     sl = slice(from_index + 1, to_index + 1)
     terms = f.grid.t[sl] * f.values[sl]
     return (1.0 - f.grid.q) * math.fsum(terms.tolist())
@@ -133,6 +136,7 @@ def build_kernel(
     of the most recently used ones, bounded by KERNEL_CACHE_BYTES; a
     kernel's weights are read-only, so sharing one between callers is safe.
     """
+    _check_index(grid, BoundaryError, a_index=a_index)
     return _cached_kernel(grid, a_index, alpha, tol, None)
 
 
@@ -140,10 +144,8 @@ def _cached_kernel(
     grid: QGrid, a_index: int, alpha: FracOrder, tol: Tolerance,
     products: dict[float, float] | None,
 ) -> OperatorKernel:
-    """:func:`build_kernel`, whose build, if the cache misses, reads the
-    product table ``products`` (see :func:`_build_kernel`)."""
-    if not 0 <= a_index < grid.count:
-        raise BoundaryError(f"a_index {a_index} outside grid of {grid.count} points")
+    """:func:`build_kernel` for a checked a_index, whose build, if the cache
+    misses, reads the product table ``products`` (see :func:`_build_kernel`)."""
     key = (grid, int(a_index), float(alpha.alpha), tol)
     return _KERNEL_CACHE.get(key, lambda: _build_kernel(*key, products))
 
@@ -199,6 +201,7 @@ def _caputo_of_differences(
     """The Caputo derivative of order alpha from its n-th nabla differences
     ``top`` ((N,) or (N, K)), n = alpha.n: ``top`` itself for an integer
     order, else its order-(n - alpha) fractional integral from a."""
+    _check_index(grid, BoundaryError, a_index=a_index)
     n = alpha.n
     if alpha.is_integer:
         return top
@@ -310,15 +313,18 @@ def omega_power_one_closed(
 ) -> GridFn:
     """Closed form lam**n (t - a)_q^(n alpha) / Gamma_q(n alpha + 1) for n
     applications of the constant-coefficient operator to the constant 1."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if not 0 <= a_index < grid.count:
-        raise BoundaryError(f"a_index {a_index} outside grid")
+    _check_finite(lam=lam)
+    _check_integer(at_least=0, n=n)
+    _check_index(grid, BoundaryError, a_index=a_index)
     if n == 0:
         return GridFn._owned(grid, np.ones(grid.count))
+    try:
+        scale = float(lam) ** int(n)
+    except OverflowError:
+        raise RangeError(f"lam**n = {lam!r}**{n} overflows the float range") from None
     a = grid.points[a_index]
     g = gamma_q(n * alpha.alpha + 1.0, grid.q, tol)
     vals = np.zeros(grid.count)
     for i in range(a_index, grid.count):
-        vals[i] = lam ** n * q_factorial_power(grid.points[i], a, n * alpha.alpha, grid.q, tol) / g
+        vals[i] = scale * q_factorial_power(grid.points[i], a, n * alpha.alpha, grid.q, tol) / g
     return GridFn._owned(grid, vals)

@@ -44,9 +44,28 @@ def _check_q(q: float) -> None:
         raise DomainError(f"base q must lie in (0, 1), got {q!r}")
 
 
-def _is_count(n: Any) -> bool:
-    """Whether n is an integer: a Python or numpy int, not a bool or a float."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+def _check_finite(**values: float) -> None:
+    """Raise DomainError unless every value is a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_integer(at_least: int | None = None, **values: Any) -> None:
+    """Raise DomainError unless every value is an int, not a bool, and at least ``at_least``."""
+    for name, value in values.items():
+        if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                or at_least is not None and value < at_least):
+            bound = "" if at_least is None else f" of at least {at_least}"
+            raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_index(grid: QGrid, error: type[Exception] = DomainError, **indices: Any) -> None:
+    """Raise DomainError unless every index is an int, and ``error`` unless it is in [0, N)."""
+    _check_integer(**indices)
+    for name, index in indices.items():
+        if not 0 <= index < grid.count:
+            raise error(f"{name} {index} outside grid of {grid.count} points")
 
 
 @dataclass(frozen=True)
@@ -62,13 +81,8 @@ class Tolerance:
             raise DomainError("rel_tol must be positive")
         if self.abs_tol < 0:
             raise DomainError("abs_tol must be nonnegative")
-        for name in ("rel_tol", "abs_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not _is_count(self.max_terms):
-            raise DomainError(f"max_terms must be an integer, got {self.max_terms!r}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
+        _check_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        _check_integer(at_least=1, max_terms=self.max_terms)
 
 
 DEFAULT_TOL = Tolerance()
@@ -89,8 +103,7 @@ class QGrid:
 
     def __post_init__(self) -> None:
         _check_q(self.q)
-        if not _is_count(self.n_start):
-            raise DomainError(f"n_start must be an integer, got {self.n_start!r}")
+        _check_integer(n_start=self.n_start)
         if not self.points:
             raise DomainError("grid needs at least one point")
         if self.points[0] <= 0.0:
@@ -164,13 +177,13 @@ def make_grid(q: float, n_start: int, count: int) -> QGrid:
     """Materialize the window q**n_start, q**(n_start-1), ... (count points);
     n_start and count must be integers (Python or numpy ints, not bools)."""
     _check_q(q)
-    for name, value in (("n_start", n_start), ("count", count)):
-        if not _is_count(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if count < 1:
-        raise DomainError("count must be at least 1")
-    start = float(q) ** n_start
-    if start == 0.0 or not math.isfinite(start):
+    _check_integer(n_start=n_start)
+    _check_integer(at_least=1, count=count)
+    try:
+        start = float(q) ** int(n_start)
+    except OverflowError:
+        start = math.inf
+    if not 0.0 < start < math.inf:
         raise RangeError(f"anchor q**{n_start} is not representable")
     pts = [start]
     for _ in range(count - 1):
@@ -251,8 +264,7 @@ class FracOrder:
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise DomainError(f"order alpha must be positive, got {self.alpha!r}")
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"order alpha must be finite, got {self.alpha!r}")
+        _check_finite(alpha=self.alpha)
 
     @property
     def is_integer(self) -> bool:
@@ -267,16 +279,20 @@ class FracOrder:
 def q_bracket(r: float, q: float) -> float:
     """[r]_q = (1 - q**r) / (1 - q), the q-analogue of the number r."""
     _check_q(q)
-    return -math.expm1(r * math.log(q)) / (1.0 - q)
+    _check_finite(r=r)
+    try:
+        value = -math.expm1(r * math.log(q)) / (1.0 - q)
+    except OverflowError:
+        value = -math.inf
+    if value == -math.inf:
+        raise RangeError(f"[{r!r}]_q at q={q!r} overflows the float range")
+    return value
 
 
 def q_pochhammer(q: float, n: int) -> float:
     """(q)_n = (1 - q)(1 - q**2)...(1 - q**n); the empty product for n = 0."""
     _check_q(q)
-    if not _is_count(n):
-        raise DomainError(f"q_pochhammer needs an integer n, got {n!r}")
-    if n < 0:
-        raise DomainError("q_pochhammer needs n >= 0")
+    _check_integer(at_least=0, n=n)
     prod = 1.0
     qi = q
     for _ in range(n):
@@ -293,7 +309,8 @@ def product_truncation_index(q: float, max_terms: int = DEFAULT_TOL.max_terms) -
     """Number of factors after which every omitted q-product factor is within
     machine epsilon of 1 (geometric tail), capped by max_terms."""
     _check_q(q)
-    return max(1, min(int(max_terms), _full_truncation_index(q)))
+    _check_integer(at_least=1, max_terms=max_terms)
+    return min(int(max_terms), _full_truncation_index(q))
 
 
 #: Factor count from which :func:`_q_product` evaluates all factors in one
@@ -496,20 +513,27 @@ def _product_factor(r: float, nu: float, q: float, max_terms: int) -> float:
 #: gamma_q values kept; covers the working set of one closed-form solve.
 GAMMA_CACHE_SIZE = 1024
 
+#: below this alpha, Gamma_q(alpha) is Gamma_q(1 + alpha) / [alpha]_q: alpha - 1.0 drops bits
+SMALL_GAMMA_ALPHA = 2.0 ** -7
+
 
 @lru_cache(maxsize=GAMMA_CACHE_SIZE)
 def _gamma_q_cached(
     alpha: float, q: float, rel_tol: float, abs_tol: float, max_terms: int
 ) -> float:
-    tol = Tolerance(rel_tol, abs_tol, max_terms)
-    num = q_factorial_power(1.0, q, alpha - 1.0, q, tol)
-    den = (1.0 - q) ** (alpha - 1.0)
-    if den >= sys.float_info.min:
-        value = num / den
+    if alpha < SMALL_GAMMA_ALPHA:
+        bracket = q_bracket(alpha, q)  # 0.0 only for a subnormal alpha
+        one_up = _gamma_q_cached(1.0 + alpha, q, rel_tol, abs_tol, max_terms)
+        value = one_up / bracket if bracket else math.inf
     else:
-        # den lost precision to underflow: divide by its square root twice
-        half = (1.0 - q) ** (0.5 * (alpha - 1.0))
-        value = num / half / half if half else math.inf
+        num = q_factorial_power(1.0, q, alpha - 1.0, q, Tolerance(rel_tol, abs_tol, max_terms))
+        den = (1.0 - q) ** (alpha - 1.0)
+        if den >= sys.float_info.min:
+            value = num / den
+        else:
+            # den lost precision to underflow: divide by its square root twice
+            half = (1.0 - q) ** (0.5 * (alpha - 1.0))
+            value = num / half / half if half else math.inf
     if not math.isfinite(value):
         raise RangeError(f"Gamma_q({alpha!r}) at q={q!r} overflows the float range")
     return value
@@ -524,16 +548,22 @@ def gamma_q(alpha: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     concurrent reads and duplicate inserts are harmless.
     """
     _check_q(q)
-    if not alpha > 0:
-        raise DomainError(f"gamma_q needs alpha > 0, got {alpha!r}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"gamma_q needs a finite alpha > 0, got {alpha!r}")
     return _gamma_q_cached(
         float(alpha), float(q), tol.rel_tol, tol.abs_tol, int(tol.max_terms)
     )
 
 
+def _log_abs(x: float) -> float:
+    return math.log(abs(x)) if x else -math.inf
+
+
 def _log_gamma_q(alpha: float, q: float, max_terms: int) -> float:
     """log Gamma_q(alpha) for a checked q and alpha > 0, from
-    log (1-q)_q^(alpha-1) - (alpha-1) log(1-q): finite also where Gamma_q
-    itself leaves the float range."""
+    log (1-q)_q^(alpha-1) - (alpha-1) log(1-q) (small alphas as in gamma_q):
+    finite also where Gamma_q itself leaves the float range."""
+    if alpha < SMALL_GAMMA_ALPHA:
+        return _log_gamma_q(1.0 + alpha, q, max_terms) - _log_abs(q_bracket(alpha, q))
     nu = alpha - 1.0
     return _product_terms(q, nu, q, max_terms)[1] - nu * math.log1p(-q)

@@ -23,14 +23,10 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NonConvergenceError, PreconditionError, StepError
 from .operators import OperatorKernel, _cached_kernel, build_kernel, fractional_integral
-from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance
+from .qcore import (
+    DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, _check_finite, _check_index, _check_integer
+)
 from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
-
-
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +42,7 @@ class LinearIVP:
     def __post_init__(self) -> None:
         if self.alpha.alpha > 1.0:
             raise DomainError("linear solver is restricted to orders in (0, 1]")
-        if not 0 <= self.a_index < self.forcing.grid.count:
-            raise DomainError(f"a_index {self.a_index} outside grid")
+        _check_index(self.forcing.grid, a_index=self.a_index)
         _check_finite(lam=self.lam, y0=self.y0)
         if not np.isfinite(self.forcing.values).all():
             raise DomainError("forcing values must be finite")
@@ -71,8 +66,7 @@ class NonlinearIVP:
     def __post_init__(self) -> None:
         if self.alpha.alpha > 1.0:
             raise DomainError("marching solver is restricted to orders in (0, 1]")
-        if not 0 <= self.a_index < self.grid.count:
-            raise DomainError(f"a_index {self.a_index} outside grid")
+        _check_index(self.grid, a_index=self.a_index)
         if self.lipschitz < 0:
             raise DomainError("Lipschitz constant must be nonnegative")
         _check_finite(y0=self.y0, lipschitz=self.lipschitz)
@@ -91,9 +85,13 @@ def linear_defect(p: LinearIVP, y: GridFn, tol: Tolerance = DEFAULT_TOL,
     """Per-point absolute defect of y = y0 + lam I^alpha y + I^alpha forcing."""
     if kernel is None:
         kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
-    iy = fractional_integral(y, kernel).values
-    iff = fractional_integral(p.forcing, kernel).values
-    d = y.values - (p.y0 + p.lam * iy + iff)
+    return _linear_defect(p, y, kernel, fractional_integral(p.forcing, kernel).values)
+
+
+def _linear_defect(p: LinearIVP, y: GridFn, kernel: OperatorKernel,
+                   forced: np.ndarray) -> np.ndarray:
+    """:func:`linear_defect`, given ``forced`` = I^alpha forcing."""
+    d = y.values - (p.y0 + p.lam * fractional_integral(y, kernel).values + forced)
     d[: p.a_index] = 0.0
     return np.abs(d)
 
@@ -208,7 +206,8 @@ def solve_linear_iterative(
 ) -> SolveReport:
     """Successive approximation from the constant y0, iterating whole grid
     functions until the sup-norm update falls below tolerance.  The forcing
-    is integrated once per solve; every iteration adds that same array."""
+    is integrated once per solve, for every iteration and the residual."""
+    _check_integer(at_least=1, max_iter=max_iter)
     _check_convergence_domain(p)
     kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
     forced = fractional_integral(p.forcing, kernel).values
@@ -220,7 +219,7 @@ def solve_linear_iterative(
         y = y_next
         scale = float(np.abs(y.values).max())
         if last_delta <= tol.abs_tol + tol.rel_tol * scale:
-            residual = float(linear_defect(p, y, tol, kernel).max())
+            residual = float(_linear_defect(p, y, kernel, forced).max())
             return SolveReport(y, iterations=m, residual=residual, method="iterative")
     raise NonConvergenceError(
         f"successive approximation missed tolerance after {max_iter} iterations",
@@ -291,6 +290,7 @@ def solve_marching(
     with Python arithmetic raises OverflowError or ZeroDivisionError where
     numpy scalars would have given inf; the error propagates.
     """
+    _check_integer(at_least=1, max_inner=max_inner)
     kernel = build_kernel(p.grid, p.a_index, p.alpha, tol)
     _, diag = kernel.rows
     bad = [

@@ -24,12 +24,13 @@ from .qcore import (
     DEFAULT_TOL,
     Tolerance,
     _BoundedLRU,
+    _check_finite,
     _check_q,
+    _log_abs,
     _log_gamma_q,
     _q_factorial_power,
     _q_product,
     gamma_q,
-    q_bracket,
 )
 
 
@@ -50,9 +51,7 @@ class MLSpec:
             raise DomainError("beta must be positive")
         if self.t0 < 0:
             raise DomainError("t0 must be nonnegative")
-        for name in ("alpha", "beta", "t0", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite(alpha=self.alpha, beta=self.beta, t0=self.t0, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,6 @@ PRODUCT_STORE_ENTRIES = 4096
 _PRODUCT_STORE = _BoundedLRU(PRODUCT_STORE_ENTRIES, len)
 
 
-def _log_abs(x: float) -> float:
-    return math.log(abs(x)) if x else -math.inf
-
-
 def _sum_until_small(terms: Iterator[float], tol: Tolerance, label: str) -> tuple[list[float], float]:
     """(terms taken, last measured term ratio) of a series, by the one
     stopping rule of this module.
@@ -208,8 +203,8 @@ def _ml_series(
     """
     label = "modified q-Mittag-Leffler" if modified else "q-Mittag-Leffler"
     _check_q(q)
-    if t < spec.t0:
-        raise DomainError(f"{label} needs t >= t0, got t={t!r}, t0={spec.t0!r}")
+    if not spec.t0 <= t < math.inf:
+        raise DomainError(f"{label} needs a finite t >= t0, got t={t!r}, t0={spec.t0!r}")
     if memo is None:
         memo = _SeriesMemo(q, spec.tol)
     est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
@@ -300,12 +295,6 @@ def mittag_leffler_modified(spec: MLSpec, t: float, q: float) -> MLResult:
     return _ml_series(spec, t, q, modified=True)
 
 
-def _check_finite_t(t: float) -> None:
-    """Raise DomainError unless t is a finite number (NaN and +-inf are not)."""
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-
-
 def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """e_q(t) = sum_k t**k / [k]_q!, convergent for |t| (1 - q) < 1.
 
@@ -321,7 +310,7 @@ def q_exp_small(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def _q_exp_small_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
     """(e_q(t), factors of the E_q product used, or series terms summed)."""
     _check_q(q)
-    _check_finite_t(t)
+    _check_finite(t=t)
     ratio_limit = abs(t) * (1.0 - q)
     if ratio_limit >= 1.0:
         raise DivergenceError(
@@ -333,9 +322,10 @@ def _q_exp_small_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, 
 def _q_exp_small_terms(t: float, q: float, damped: bool) -> Iterator[float]:
     """t**k / [k]_q! for k = 0, 1, ..., times q**(k(k-1)/2) when damped."""
     term = damp = 1.0
+    log_q = math.log(q)
     for k in count(1):
         yield term
-        term *= t * damp / q_bracket(float(k), q)
+        term *= t * damp / (-math.expm1(k * log_q) / (1.0 - q))  # [k]_q as q_bracket gives it
         if damped:
             damp *= q
 
@@ -357,7 +347,7 @@ def q_exp_big(t: float, q: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def _q_exp_big_with_terms(t: float, q: float, tol: Tolerance) -> tuple[float, int]:
     """(E_q(t), factors of its product used, or series terms summed)."""
     _check_q(q)
-    _check_finite_t(t)
+    _check_finite(t=t)
     return _q_exp_with_terms(t, t / (1.0 - q), q, tol, "E_q series")
 
 

@@ -65,6 +65,7 @@ from .qcore import (
     DEFAULT_TOL,
     FracOrder,
     GridFn,
+    _check_integer,
     gamma_q,
     make_grid,
     q_bracket,
@@ -480,10 +481,6 @@ _SUITES: dict[str, Callable] = {
 _RANDOMIZED = frozenset({"lemma1", "lemma22", "gronwall", "comparison", "corollary"})
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def available_suites() -> tuple[str, ...]:
     return tuple(_SUITES) + ("all",)
 
@@ -497,10 +494,11 @@ def run_suite(name: str, seed: int = 7, cases: int | None = None) -> dict:
     suites only.  Anything else raises DomainError before a suite runs.
 
     The suites share only the process-wide caches of the module docstring."""
-    if not _is_int(seed) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if cases is not None and (not _is_int(cases) or cases < 1):
-        raise DomainError(f"cases must be an integer of at least 1, got {cases!r}")
+    _check_integer(at_least=0, seed=seed)
+    if cases is not None:
+        _check_integer(at_least=1, cases=cases)
+        cases = int(cases)
+    seed = int(seed)
     if name != "all" and name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {available_suites()}")
     if cases is not None and name != "all" and name not in _RANDOMIZED:

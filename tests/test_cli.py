@@ -179,6 +179,16 @@ def test_eval_ml_past_gamma_q_overflow_matches_reference(runner):
     assert float(value) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_eval_ml_at_a_tiny_beta_matches_reference(runner):
+    # the k = 0 term is 1 / Gamma_q(1e-17), which Gamma_q takes from
+    # Gamma_q(1 + 1e-17) / [1e-17]_q (a PoleError from alpha - 1.0 = -1.0 before)
+    res = runner.invoke(main, ["eval", "ml", "--alpha", "0.5", "--t", "1", "--beta", "1e-17",
+                               "--lambda", "0.5"])
+    assert res.exit_code == 0, res.stderr
+    value = float(res.stdout.strip().split("\n")[1].rsplit(",", 2)[1])
+    assert value == pytest.approx(float(ref_ml_from_zero(0.5, 1e-17, 0.5, 1.0, 0.5, 80)), rel=1e-12)
+
+
 def test_eval_ml_past_gamma_q_overflow_refuses_a_partial_sum(runner):
     # term ratio 0.9991 needs ~40,000 terms, more than max_terms
     res = runner.invoke(main, ML_PAST_GAMMA_OVERFLOW + ["--lambda", "1.413"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qfrac import operators
-from qfrac.errors import BoundaryError, DomainError, GridMismatchError
+from qfrac.errors import BoundaryError, DomainError, GridMismatchError, RangeError
 from qfrac.operators import (
     KERNEL_CACHE_BYTES,
     OmegaOp,
@@ -448,6 +448,11 @@ def test_omega_power_one_closed_basics():
     got = omega_power_one_closed(1.0, 1, FracOrder(1.0), GRID, 0)
     for i in range(GRID.count):
         assert got.values[i] == pytest.approx(GRID.points[i] - a, rel=1e-13, abs=1e-16)
+    # lam**n past the float range, and a NaN lam that used to come back as NaN values
+    with pytest.raises(RangeError, match="overflows the float range"):
+        omega_power_one_closed(10.0, 2000, FracOrder(0.5), GRID, 0)
+    with pytest.raises(DomainError, match="lam must be finite"):
+        omega_power_one_closed(math.nan, 2, FracOrder(0.5), GRID, 0)
 
 
 def test_omega_power_three_matches_iterated_application():

@@ -5,6 +5,7 @@ import random
 import threading
 
 import hypothesis
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -22,7 +23,9 @@ from qfrac.qcore import (
     q_factorial_power,
     q_pochhammer,
     _BoundedLRU,
+    SMALL_GAMMA_ALPHA,
     _gamma_q_cached,
+    _log_gamma_q,
     _q_factorial_power,
 )
 
@@ -37,6 +40,10 @@ def test_q_bracket_values():
     assert q_bracket(0.0, 0.5) == 0.0
     assert q_bracket(1.0, 0.5) == pytest.approx(1.0, rel=1e-15)
     assert q_bracket(2.0, 0.5) == pytest.approx(1.5, rel=1e-15)
+    # past the float range: q**r overflows in expm1, or [r]_q in the division
+    for r in (-1e308, -1100.0, -1023.5):
+        with pytest.raises(RangeError, match="overflows the float range"):
+            q_bracket(r, 0.5)
 
 
 def test_q_bracket_rejects_bad_base():
@@ -285,6 +292,23 @@ def test_base_close_to_one_stays_accurate():
         )
 
 
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.9, 0.95])
+def test_gamma_q_small_alpha_matches_reference(q):
+    # below SMALL_GAMMA_ALPHA, Gamma_q(1 + alpha) / [alpha]_q keeps the bits
+    # of alpha that alpha - 1.0 drops (at the parent: 1.05 relative error at
+    # alpha = 1e-17, q = 0.3, and a PoleError at q = 0.5)
+    with mp.workdps(70):
+        qm = mp.mpf(q)
+        factors = math.ceil(70 * math.log(10) / -math.log(q)) + 10
+        q_q = mp.fprod(1 - qm ** (i + 1) for i in range(factors))
+        for alpha in (1e-20, 1e-17, 3e-15, 1e-10, 1e-6, 1e-3, 0.005, SMALL_GAMMA_ALPHA * 0.999):
+            am = mp.mpf(alpha)
+            ref = q_q / mp.fprod(1 - qm ** (am + i) for i in range(factors)) * (1 - qm) ** (1 - am)
+            assert abs(gamma_q(alpha, q) - ref) <= 1e-14 * ref, alpha
+            assert abs(_log_gamma_q(alpha, q, 10_000) - mp.log(ref)) <= 1e-14 * abs(mp.log(ref)), alpha
+    assert gamma_q(1e-17, 0.5) > 0.0  # a PoleError at the parent
+
+
 def test_gamma_q_rejects_nonpositive():
     with pytest.raises(DomainError):
         gamma_q(0.0, 0.5)
@@ -328,6 +352,9 @@ def test_make_grid_range_errors():
         make_grid(0.5, 0, 2000)  # overflow at 2**1999
     with pytest.raises(RangeError):
         make_grid(0.5, 5000, 3)  # anchor underflows to 0
+    for n_start in (-2000, np.int64(-2000)):  # q**n_start overflows
+        with pytest.raises(RangeError, match="not representable"):
+            make_grid(0.5, n_start, 3)
     with pytest.raises(DomainError):
         make_grid(0.5, 0, 0)
     # grid indices are integers: q**2.5 is off the time scale {q**n}

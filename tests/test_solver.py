@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qfrac import solver
 from qfrac.errors import (
     DivergenceError,
     DomainError,
@@ -153,6 +154,26 @@ def test_iterative_is_a_loop_of_picard_steps(a_index):
     rep = solve_linear_iterative(p, tol=tol)
     assert rep.iterations == m > 5
     assert rep.solution.values.tobytes() == y.values.tobytes()
+
+
+@pytest.mark.parametrize("a_index", [0, 2])
+def test_iterative_integrates_the_forcing_once(monkeypatch, a_index):
+    # the residual reuses the solve's I^alpha forcing, with linear_defect's floats
+    p = LinearIVP(alpha=FracOrder(0.7), lam=0.3, a_index=a_index, y0=1.25,
+                  forcing=GridFn.from_callable(GRID, lambda t: math.sin(3.0 * t)))
+    forcing_integrals = []
+    integrate = solver.fractional_integral
+
+    def counted(f, kernel):
+        forcing_integrals.append(f is p.forcing)
+        return integrate(f, kernel)
+
+    monkeypatch.setattr(solver, "fractional_integral", counted)
+    rep = solve_linear_iterative(p)
+    assert forcing_integrals.count(True) == 1 and len(forcing_integrals) == rep.iterations + 2
+    monkeypatch.undo()
+    defect = linear_defect(p, rep.solution, Tolerance(), build_kernel(GRID, a_index, p.alpha))
+    assert np.float64(rep.residual).tobytes() == defect.max().tobytes()
 
 
 def test_iterative_matches_closed():
