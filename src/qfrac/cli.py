@@ -27,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -67,29 +66,9 @@ def _tolerance(rel: float) -> Tolerance:
     return Tolerance(rel_tol=rel, abs_tol=rel * 1e-3, max_terms=10_000)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved execution parameters shared by the commands.
-
-    Flags override ``--config`` file values, which override these defaults.
-    A missing n_start defaults to steps - 1 so the window ends at t = 1.
-    """
-
-    q: float = 0.5
-    alpha: float = 0.5
-    n_start: int | None = None
-    steps: int = 12
-    rel_tol: float = 1e-12
-    seed: int = 7
-    fmt: str = "csv"
-
-    @property
-    def tolerance(self) -> Tolerance:
-        return _tolerance(self.rel_tol)
-
-    def grid(self) -> QGrid:
-        n0 = self.steps - 1 if self.n_start is None else self.n_start
-        return make_grid(self.q, n0, self.steps)
+def _grid(q: float, n_start: int | None, steps: int) -> QGrid:
+    """The window of ``steps`` points from q**n_start; without n_start it ends at t = 1."""
+    return make_grid(q, steps - 1 if n_start is None else n_start, steps)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -133,38 +112,37 @@ def load_config(path: str | Path) -> dict[str, str]:
     return cfg
 
 
-def _resolve(flag, cfg: dict[str, str], key: str, cast, default):
-    """Flag value, else the config value, else the default; numbers must be finite."""
-    if flag is not None:
-        value = flag
-    elif key in cfg:
-        try:
-            value = cast(cfg[key])
-        except ValueError as exc:
-            raise InputFormatError(f"config key {key!r}: {exc}") from exc
-    else:
-        return default
-    if isinstance(value, float) and not math.isfinite(value):
-        raise InputFormatError(f"{key} must be finite, got {value!r}")
-    return value
+def _with_config(fn):
+    """Declare ``--config`` and fill each option left at its default from that file.
 
+    A key is the option's long name without dashes (``--n-start`` -> ``n_start``,
+    ``--L`` -> ``l``); keys the command has no option for are ignored.  Flags
+    override file values, which override the defaults; every float must be finite.
+    Apply it under :func:`_cli_errors`, which reports the errors it raises.
+    """
 
-def _run_config(cfg: dict[str, str], **flags) -> RunConfig:
-    base = RunConfig()
-    spec = (
-        ("q", "q", float),
-        ("alpha", "alpha", float),
-        ("n_start", "n_start", int),
-        ("steps", "steps", int),
-        ("rel_tol", "tol", float),
-        ("seed", "seed", int),
-        ("fmt", "format", str),
-    )
-    values = {
-        name: _resolve(flags.get(name), cfg, key, cast, getattr(base, name))
-        for name, key, cast in spec
-    }
-    return RunConfig(**values)
+    @functools.wraps(fn)
+    def wrapper(config_path, **values):
+        ctx = click.get_current_context()
+        cfg = load_config(config_path) if config_path else {}
+        for param in ctx.command.params:
+            if not isinstance(param, click.Option) or param.name not in values:
+                continue  # arguments, and --config itself
+            key = param.opts[0].lstrip("-").replace("-", "_").lower()
+            source = ctx.get_parameter_source(param.name)
+            if key in cfg and source is click.core.ParameterSource.DEFAULT:
+                cast = {"float": float, "integer": int}.get(param.type.name, str)
+                try:
+                    values[param.name] = cast(cfg[key])
+                except ValueError as exc:
+                    raise InputFormatError(f"config key {key!r}: {exc}") from exc
+            value = values[param.name]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InputFormatError(f"{key} must be finite, got {value!r}")
+        return fn(**values)
+
+    return click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                        help="key=value file; a key is a long flag name without dashes.")(wrapper)
 
 
 def _cell(x) -> str:
@@ -195,30 +173,42 @@ def _print_table(fmt: str, header: list[str], rows: list, summary: dict | None =
     click.echo("\n".join(out))
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main() -> None:
     """Numerical toolkit for q-fractional calculus on geometric time scales."""
 
 
+# options that several commands share, declared once
+_q = click.option("--q", type=float, default=0.5, help="Base in (0, 1).")
+_alpha = click.option("--alpha", type=float, default=0.5, help="Fractional order.")
+_lambda = click.option("--lambda", "lam", type=float, default=0.0,
+                       help="Coefficient of the eval ml series or of the solve right-hand side"
+                            " (for --problem sin, its Lipschitz constant).")
+_steps = click.option("--steps", type=int, default=12, help="Grid points in the window.")
+_n_start = click.option("--n-start", type=int, default=None,
+                        help="Anchor exponent; default steps-1 so the window ends at t = 1.")
+_tol = click.option("--tol", type=float, default=1e-12, help="Relative tolerance.")
+_format = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                       help="Output format.")
+
+
 @main.command("eval")
 @click.argument("kind", type=click.Choice(["gamma", "qfac", "ml", "eq", "Eq"]))
-@click.option("--q", type=float, default=None, help="Base in (0, 1); default 0.5.")
-@click.option("--alpha", type=float, default=None, help="Order parameter.")
-@click.option("--beta", type=float, default=None, help="Second Mittag-Leffler index; default 1.")
-@click.option("--lambda", "lam", type=float, default=None, help="Series coefficient; default 0.")
+@_q
+@click.option("--alpha", type=float, default=None, help="Order parameter; gamma and ml need it.")
+@click.option("--beta", type=float, default=1.0, help="Second Mittag-Leffler index.")
+@_lambda
 @click.option("--t", type=float, default=None, help="Evaluation point.")
-@click.option("--t0", type=float, default=None, help="Series lower point; default 0.")
+@click.option("--t0", type=float, default=0.0, help="Series lower point.")
 @click.option("--s", type=float, default=None, help="Second factorial-power argument.")
 @click.option("--nu", type=float, default=None, help="Factorial-power exponent.")
-@click.option("--tol", type=float, default=None, help="Relative tolerance; default 1e-12.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@_tol
+@_format
 @_cli_errors
-def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
+@_with_config
+def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt):
     """Evaluate one primitive and print an (input, value, terms_used) row."""
-    cfg = load_config(config_path) if config_path else {}
-    rc = _run_config(cfg, q=q, rel_tol=tol, fmt=fmt)
-    q, tolerance = rc.q, rc.tolerance
+    tolerance = _tolerance(tol)
 
     def need(name, value):
         if value is None:
@@ -226,22 +216,16 @@ def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
         return value
 
     if kind == "gamma":
-        alpha = need("alpha", _resolve(alpha, cfg, "alpha", float, None))
+        alpha = need("alpha", alpha)
         label = f"alpha={_fmt(alpha)};q={_fmt(q)}"
         value = gamma_q(alpha, q, tolerance)
         terms = product_truncation_index(q, tolerance.max_terms)
     elif kind == "qfac":
-        t = need("t", _resolve(t, cfg, "t", float, None))
-        s = need("s", _resolve(s, cfg, "s", float, None))
-        nu = need("nu", _resolve(nu, cfg, "nu", float, None))
+        t, s, nu = need("t", t), need("s", s), need("nu", nu)
         label = f"t={_fmt(t)};s={_fmt(s)};nu={_fmt(nu)};q={_fmt(q)}"
         value, terms = _q_factorial_power_with_terms(t, s, nu, q, tolerance)
     elif kind == "ml":
-        alpha = need("alpha", _resolve(alpha, cfg, "alpha", float, None))
-        t = need("t", _resolve(t, cfg, "t", float, None))
-        beta = _resolve(beta, cfg, "beta", float, 1.0)
-        lam = _resolve(lam, cfg, "lambda", float, 0.0)
-        t0 = _resolve(t0, cfg, "t0", float, 0.0)
+        alpha, t = need("alpha", alpha), need("t", t)
         label = (
             f"alpha={_fmt(alpha)};beta={_fmt(beta)};lambda={_fmt(lam)};"
             f"t={_fmt(t)};t0={_fmt(t0)};q={_fmt(q)}"
@@ -249,12 +233,12 @@ def cmd_eval(kind, q, alpha, beta, lam, t, t0, s, nu, tol, fmt, config_path):
         res = mittag_leffler(MLSpec(alpha, beta, lam, t0, tolerance), t, q)
         value, terms = res.value, res.terms_used
     else:  # eq or Eq
-        t = need("t", _resolve(t, cfg, "t", float, None))
+        t = need("t", t)
         label = f"t={_fmt(t)};q={_fmt(q)}"
         evaluate = _q_exp_small_with_terms if kind == "eq" else _q_exp_big_with_terms
         value, terms = evaluate(t, q, tolerance)
 
-    _print_table(rc.fmt, ["input", "value", "terms_used"], [[label, value, terms]], {"kind": kind})
+    _print_table(fmt, ["input", "value", "terms_used"], [[label, value, terms]], {"kind": kind})
 
 
 def _forcing_fn(name: str):
@@ -266,45 +250,31 @@ def _forcing_fn(name: str):
 
 
 @main.command("solve")
-@click.option("--problem", type=click.Choice(["linear", "sin"]), default=None,
+@click.option("--problem", type=click.Choice(["linear", "sin"]), default="linear",
               help="linear: y' = lambda y + forcing; sin: y' = lambda sin(y).")
-@click.option("--q", type=float, default=None)
-@click.option("--alpha", type=float, default=None)
-@click.option("--lambda", "lam", type=float, default=None,
-              help="Coefficient (the Lipschitz constant for --problem sin).")
-@click.option("--y0", type=float, default=None)
-@click.option("--n-start", type=int, default=None,
-              help="Anchor exponent; default steps-1 so the window ends at t = 1.")
-@click.option("--steps", type=int, default=None)
-@click.option("--forcing", type=click.Choice(["zero", "identity"]), default=None)
+@_q
+@_alpha
+@_lambda
+@click.option("--y0", type=float, default=1.0, help="Initial value.")
+@_n_start
+@_steps
+@click.option("--forcing", type=click.Choice(["zero", "identity"]), default="zero",
+              help="Forcing of the linear problem.")
 @click.option("--methods", type=str, default=None,
-              help="Comma list from closed,iter,march.")
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+              help="Comma list from closed,iter,march; default all three, or march for sin.")
+@_tol
+@_format
 @_cli_errors
-def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol, fmt, config_path):
+@_with_config
+def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol, fmt):
     """Solve an initial value problem; one CSV row per grid point."""
     import numpy as np
 
-    from .solver import (
-        LinearIVP,
-        NonlinearIVP,
-        linear_defect,
-        nonlinear_defect,
-        solve_linear_closed,
-        solve_linear_iterative,
-        solve_marching,
-    )
+    from .solver import (LinearIVP, NonlinearIVP, linear_defect, nonlinear_defect,
+                         solve_linear_closed, solve_linear_iterative, solve_marching)
 
-    cfg = load_config(config_path) if config_path else {}
-    rc = _run_config(cfg, q=q, alpha=alpha, n_start=n_start, steps=steps, rel_tol=tol, fmt=fmt)
-    problem = _resolve(problem, cfg, "problem", str, "linear")
-    lam = _resolve(lam, cfg, "lambda", float, 0.0)
-    y0 = _resolve(y0, cfg, "y0", float, 1.0)
-    forcing_name = _resolve(forcing, cfg, "forcing", str, "zero")
-    default_methods = "closed,iter,march" if problem == "linear" else "march"
-    methods = _resolve(methods, cfg, "methods", str, default_methods)
+    if methods is None:
+        methods = "closed,iter,march" if problem == "linear" else "march"
     wanted = [m.strip() for m in methods.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in ("closed", "iter", "march")]
     if unknown:
@@ -313,13 +283,13 @@ def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol,
         raise InputFormatError("--methods names no method; choose from closed,iter,march")
     if problem == "sin" and any(m != "march" for m in wanted):
         raise InputFormatError("--problem sin supports only the march method")
-    if problem == "sin" and forcing_name != "zero":
+    if problem == "sin" and forcing != "zero":
         raise InputFormatError("--problem sin takes no forcing: its right-hand side is lambda sin(y)")
 
-    tolerance = rc.tolerance
-    grid = rc.grid()
-    order = FracOrder(rc.alpha)
-    f_of_t = _forcing_fn(forcing_name)
+    tolerance = _tolerance(tol)
+    grid = _grid(q, n_start, steps)
+    order = FracOrder(alpha)
+    f_of_t = _forcing_fn(forcing)
     columns: dict[str, list] = {"t": list(grid.points)}
     defects: list[np.ndarray] = []
     if problem == "linear":
@@ -344,7 +314,7 @@ def cmd_solve(problem, q, alpha, lam, y0, n_start, steps, forcing, methods, tol,
         columns["y_march"] = rep.solution.values.tolist()
         defects.append(nonlinear_defect(ivp, rep.solution, tolerance))
     columns["defect"] = np.maximum.reduce(defects).tolist()
-    _print_table(rc.fmt, list(columns), list(zip(*columns.values())))
+    _print_table(fmt, list(columns), list(zip(*columns.values())))
 
 
 def _read_csv_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
@@ -389,15 +359,15 @@ def _grid_from_t_column(ts: list[float], q: float) -> QGrid:
 
 @main.command("bound")
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False))
-@click.option("--q", type=float, default=None)
-@click.option("--alpha", type=float, default=None)
+@_q
+@_alpha
 @click.option("--mu", type=float, default=None,
               help="Constant coefficient when the table has no mu column.")
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@_tol
+@_format
 @_cli_errors
-def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
+@_with_config
+def cmd_bound(input_csv, q, alpha, mu, tol, fmt):
     """Compute the Gronwall-type bound for (t, v, mu) rows from a CSV table.
 
     The t column must match the q-power grid implied by its anchor within
@@ -406,10 +376,6 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
     be finite.  The trailer's terms_used counts the grid rows solved.
     """
     from .gronwall import GronwallInput, gronwall_bound
-
-    cfg = load_config(config_path) if config_path else {}
-    rc = _run_config(cfg, q=q, alpha=alpha, rel_tol=tol, fmt=fmt)
-    mu = _resolve(mu, cfg, "mu", float, None)
 
     header, rows = _read_csv_table(input_csv)
     if "t" not in header:
@@ -424,7 +390,7 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
                 f"{input_csv}: cannot identify the value column among {candidates}"
             )
         v_name = candidates[0]
-    grid = _grid_from_t_column(cols["t"], rc.q)
+    grid = _grid_from_t_column(cols["t"], q)
     v = GridFn(grid, cols[v_name])
     if "mu" in header:
         mu_fn = GridFn(grid, cols["mu"])
@@ -435,8 +401,8 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
 
     try:
         result = gronwall_bound(
-            GronwallInput(v=v, mu=mu_fn, alpha=FracOrder(rc.alpha), a_index=0),
-            rc.tolerance,
+            GronwallInput(v=v, mu=mu_fn, alpha=FracOrder(alpha), a_index=0),
+            _tolerance(tol),
         )
     except PreconditionError as exc:
         ts = [grid.points[i] for i in exc.indices]
@@ -447,7 +413,7 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
     rows = list(zip(grid.points, v.values.tolist(), result.bound.values.tolist(),
                     map(bool, result.satisfied)))
     _print_table(
-        rc.fmt, ["t", "v", "bound", "satisfied"], rows,
+        fmt, ["t", "v", "bound", "satisfied"], rows,
         {"max_violation": result.max_violation, "terms_used": result.terms_used},
         trailer=True,
     )
@@ -455,61 +421,53 @@ def cmd_bound(input_csv, q, alpha, mu, tol, fmt, config_path):
 
 @main.command("verify")
 @click.argument("suite")
-@click.option("--seed", type=int, default=None, help="Seed for randomized suites; default 7.")
+@click.option("--seed", type=int, default=7, help="Seed for randomized suites.")
 @click.option("--cases", type=int, default=None,
               help="Random cases per parameter combination; fixed-table suites reject it.")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @_cli_errors
-def cmd_verify(suite, seed, cases, config_path):
+@_with_config
+def cmd_verify(suite, seed, cases):
     """Run a verification suite and print its JSON report; exit 0 iff clean."""
     from .verify import available_suites, run_suite
 
-    cfg = load_config(config_path) if config_path else {}
-    rc = _run_config(cfg, seed=seed)
-    cases = _resolve(cases, cfg, "cases", int, None)
     if suite not in available_suites():
         raise InputFormatError(
             f"unknown suite {suite!r}; choose from {', '.join(available_suites())}"
         )
-    report = run_suite(suite, seed=rc.seed, cases=cases)
+    report = run_suite(suite, seed=seed, cases=cases)
     click.echo(json.dumps(report, sort_keys=True, indent=2))
     if report["failures"]:
         sys.exit(1)
 
 
 @main.command("demo")
-@click.option("--L", "lipschitz", type=float, default=None, help="Lipschitz constant in [0, 1).")
-@click.option("--alpha", type=float, default=None)
-@click.option("--q", type=float, default=None)
-@click.option("--gamma", type=float, default=None, help="First initial value; default 1.")
-@click.option("--beta", type=float, default=None, help="Second initial value; default 0.9.")
-@click.option("--steps", type=int, default=None)
-@click.option("--n-start", type=int, default=None)
-@click.option("--rhs", type=click.Choice(["sin", "linear"]), default=None)
-@click.option("--tol", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--L", "lipschitz", type=float, default=0.5, help="Lipschitz constant in [0, 1).")
+@_alpha
+@_q
+@click.option("--gamma", type=float, default=1.0, help="First initial value.")
+@click.option("--beta", type=float, default=0.9, help="Second initial value.")
+@_steps
+@_n_start
+@click.option("--rhs", type=click.Choice(["sin", "linear"]), default="sin",
+              help="Right-hand side: L sin(y) or L y.")
+@_tol
+@_format
 @_cli_errors
-def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, config_path):
+@_with_config
+def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt):
     """Continuous dependence on initial values: solve twice, print the bound."""
     from .gronwall import DEPENDENCE_SLACK, dependence_experiment
 
-    cfg = load_config(config_path) if config_path else {}
-    rc = _run_config(cfg, q=q, alpha=alpha, n_start=n_start, steps=steps, rel_tol=tol, fmt=fmt)
-    lipschitz = _resolve(lipschitz, cfg, "l", float, 0.5)
-    gamma = _resolve(gamma, cfg, "gamma", float, 1.0)
-    beta = _resolve(beta, cfg, "beta", float, 0.9)
-    rhs_name = _resolve(rhs, cfg, "rhs", str, "sin")
     if not 0.0 <= lipschitz < 1.0:
         raise PreconditionError(f"--L must lie in [0, 1), got {lipschitz!r}")
 
-    grid = rc.grid()
-    if rhs_name == "sin":
+    grid = _grid(q, n_start, steps)
+    if rhs == "sin":
         rhs_fn = lambda t, y: lipschitz * math.sin(y)
     else:
         rhs_fn = lambda t, y: lipschitz * y
     report = dependence_experiment(
-        grid, 0, FracOrder(rc.alpha), gamma, beta, rhs_fn, lipschitz, rc.tolerance
+        grid, 0, FracOrder(alpha), gamma, beta, rhs_fn, lipschitz, _tolerance(tol)
     )
     rows = [
         [t, phi, psi, d, b, d <= b + DEPENDENCE_SLACK]
@@ -518,7 +476,7 @@ def cmd_demo(lipschitz, alpha, q, gamma, beta, steps, n_start, rhs, tol, fmt, co
                                      report.bound.tolist())
     ]
     _print_table(
-        rc.fmt, ["t", "phi", "psi", "abs_diff", "bound", "satisfied"], rows,
+        fmt, ["t", "phi", "psi", "abs_diff", "bound", "satisfied"], rows,
         {"bound_holds": report.bound_holds, "max_excess": report.max_excess},
         json_skip=("satisfied",),
     )

@@ -29,7 +29,7 @@ from .errors import DivergenceError, DomainError, PreconditionError, QFracError
 from .operators import OperatorKernel, _integrate, build_kernel
 from .qcore import DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, _check_finite, _check_index
 from .solver import NonlinearIVP, forward_substitution, solve_marching
-from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
+from .special import MLSpec, _SeriesMemo, _convergence_ratio_estimate, _ml_series
 
 #: absolute slack used when checking integral-inequality hypotheses, so that
 #: equality-case instances (zero slack) do not fail on rounding.
@@ -567,7 +567,7 @@ def dependence_experiment(
     if not 0.0 <= lipschitz < 1.0:
         raise DomainError("Lipschitz constant must satisfy 0 <= L < 1")
     # the lower limit does not enter the estimate; NonlinearIVP checks a_index
-    ratio = convergence_ratio_estimate(
+    ratio = _convergence_ratio_estimate(
         alpha.alpha, grid.q, grid.points[-1], grid.points[0], lipschitz
     )
     if ratio >= 1.0:

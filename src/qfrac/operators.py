@@ -31,7 +31,6 @@ from .qcore import (
     _check_integer,
     _q_factorial_power,
     gamma_q,
-    q_factorial_power,
 )
 
 
@@ -258,7 +257,8 @@ def _inverse_identity_residual(
     for k in range(n):
         coeff = levels[k][a_index] / gamma_q(k + 1.0, grid.q, tol)
         powers = np.array(
-            [q_factorial_power(t, a, float(k), grid.q, tol) for t in grid.points[a_index:]]
+            [_q_factorial_power(t, a, float(k), grid.q, tol.max_terms, None)
+             for t in grid.points[a_index:]]
         )
         taylor[a_index:] += (powers if values.ndim == 1 else powers[:, None]) * coeff
     resid = np.max(np.abs(recon - (values - taylor))[a_index:], axis=0)
@@ -312,7 +312,8 @@ def omega_power_one_closed(
     tol: Tolerance = DEFAULT_TOL,
 ) -> GridFn:
     """Closed form lam**n (t - a)_q^(n alpha) / Gamma_q(n alpha + 1) for n
-    applications of the constant-coefficient operator to the constant 1."""
+    applications of the constant-coefficient operator to the constant 1.
+    A value past the float range raises RangeError."""
     _check_finite(lam=lam)
     _check_integer(at_least=0, n=n)
     _check_index(grid, BoundaryError, a_index=a_index)
@@ -326,5 +327,9 @@ def omega_power_one_closed(
     g = gamma_q(n * alpha.alpha + 1.0, grid.q, tol)
     vals = np.zeros(grid.count)
     for i in range(a_index, grid.count):
-        vals[i] = scale * q_factorial_power(grid.points[i], a, n * alpha.alpha, grid.q, tol) / g
+        vals[i] = scale * _q_factorial_power(
+            grid.points[i], a, n * alpha.alpha, grid.q, tol.max_terms, None) / g
+    if not np.isfinite(vals).all():
+        raise RangeError(
+            f"lam**n (t - a)_q^(n alpha) at lam={lam!r}, n={n} overflows the float range")
     return GridFn._owned(grid, vals)

@@ -410,8 +410,10 @@ def q_factorial_power(
     past that count cannot change it (the product is 0 or infinite and they
     are positive, or they are exactly t == 1.0).  An integer order returns
     the product's inf when it overflows; any other order raises RangeError.
+    t, s and nu must be finite.
     """
     _check_q(q)
+    _check_finite(t=t, s=s, nu=nu)
     return _q_factorial_power(t, s, nu, q, tol.max_terms, None)
 
 
@@ -526,7 +528,7 @@ def _gamma_q_cached(
         one_up = _gamma_q_cached(1.0 + alpha, q, rel_tol, abs_tol, max_terms)
         value = one_up / bracket if bracket else math.inf
     else:
-        num = q_factorial_power(1.0, q, alpha - 1.0, q, Tolerance(rel_tol, abs_tol, max_terms))
+        num = _q_factorial_power(1.0, q, alpha - 1.0, q, max_terms, None)
         den = (1.0 - q) ** (alpha - 1.0)
         if den >= sys.float_info.min:
             value = num / den

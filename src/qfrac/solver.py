@@ -26,7 +26,7 @@ from .operators import OperatorKernel, _cached_kernel, build_kernel, fractional_
 from .qcore import (
     DEFAULT_TOL, FracOrder, GridFn, QGrid, Tolerance, _check_finite, _check_index, _check_integer
 )
-from .special import MLSpec, _SeriesMemo, _ml_series, convergence_ratio_estimate
+from .special import MLSpec, _SeriesMemo, _convergence_ratio_estimate, _ml_series
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +111,7 @@ def nonlinear_defect(p: NonlinearIVP, y: GridFn, tol: Tolerance = DEFAULT_TOL,
 def _check_convergence_domain(p: LinearIVP) -> None:
     t_max = p.grid.points[-1]
     a = p.grid.points[p.a_index]
-    est = convergence_ratio_estimate(p.alpha.alpha, p.grid.q, t_max, a, p.lam)
+    est = _convergence_ratio_estimate(p.alpha.alpha, p.grid.q, t_max, a, p.lam)
     if est >= 1.0:
         raise DivergenceError(
             f"Mittag-Leffler representation diverges at t={t_max!r}: estimate {est:.6g} >= 1",

@@ -67,8 +67,15 @@ def convergence_ratio_estimate(alpha: float, q: float, t: float, a: float, lam: 
     Mittag-Leffler series; values below 1 predict convergence.
 
     The lower limit a does not enter: the shifted factorial powers in the
-    terms approach plain powers of t as the term index grows.
+    terms approach plain powers of t as the term index grows.  Every
+    argument must be finite.
     """
+    _check_finite(alpha=alpha, t=t, a=a, lam=lam)
+    return _convergence_ratio_estimate(alpha, q, t, a, lam)
+
+
+def _convergence_ratio_estimate(alpha: float, q: float, t: float, a: float, lam: float) -> float:
+    """:func:`convergence_ratio_estimate` for callers whose arguments are finite."""
     _check_q(q)
     if t < a:
         raise DomainError("t must not precede the lower limit a")
@@ -207,7 +214,7 @@ def _ml_series(
         raise DomainError(f"{label} needs a finite t >= t0, got t={t!r}, t0={spec.t0!r}")
     if memo is None:
         memo = _SeriesMemo(q, spec.tol)
-    est = convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
+    est = _convergence_ratio_estimate(spec.alpha, q, t, spec.t0, spec.lam)
     if est >= 1.0:
         raise DivergenceError(
             f"{label} series diverges at t={t!r}: term-ratio estimate {est:.6g} >= 1",

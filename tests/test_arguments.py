@@ -42,6 +42,7 @@ from qfrac.qcore import (
     make_grid,
     product_truncation_index,
     q_bracket,
+    q_factorial_power,
     q_pochhammer,
 )
 from qfrac.solver import (
@@ -51,7 +52,14 @@ from qfrac.solver import (
     solve_linear_iterative,
     solve_marching,
 )
-from qfrac.special import MLSpec, mittag_leffler, mittag_leffler_modified, q_exp_big, q_exp_small
+from qfrac.special import (
+    MLSpec,
+    convergence_ratio_estimate,
+    mittag_leffler,
+    mittag_leffler_modified,
+    q_exp_big,
+    q_exp_small,
+)
 from qfrac.verify import run_suite
 
 GRID = make_grid(0.5, 11, 12)
@@ -176,6 +184,8 @@ def test_run_suite_with_numpy_seed_and_cases_prints_the_same_bytes():
 
 
 SPEC = dict(alpha=0.5, beta=1.0, lam=0.3, t0=0.0)
+ESTIMATE = dict(alpha=0.5, q=0.5, t=1.0, a=0.1, lam=0.3)
+FACTORIAL_POWER = dict(t=1.0, s=0.1, nu=0.5, q=0.5)
 
 #: (name, call with the scalar parameter)
 SCALAR_CALLS = [
@@ -190,6 +200,11 @@ SCALAR_CALLS = [
     ("mittag_leffler_modified t", lambda x: mittag_leffler_modified(MLSpec(**SPEC), x, 0.5)),
     ("q_exp_small t", lambda x: q_exp_small(x, 0.5)),
     ("q_exp_big t", lambda x: q_exp_big(x, 0.5)),
+    *((f"convergence_ratio_estimate {k}",
+       lambda x, k=k: convergence_ratio_estimate(**{**ESTIMATE, k: x}))
+      for k in ("alpha", "t", "a", "lam")),
+    *((f"q_factorial_power {k}", lambda x, k=k: q_factorial_power(**{**FACTORIAL_POWER, k: x}))
+      for k in ("t", "s", "nu")),
     ("omega_power_one_closed lam", lambda x: omega_power_one_closed(x, 2, ORDER, GRID, 0)),
     ("LinearIVP lam", lambda x: _linear(lam=x)),
     ("LinearIVP y0", lambda x: _linear(y0=x)),

@@ -210,6 +210,7 @@ def test_eval_gamma_near_one_refuses_truncated_product(runner):
     ["solve", "--problem", "linear", "--lambda", "{}", "--steps", "6"],
     ["solve", "--y0", "{}", "--steps", "6"],
     ["demo", "--L", "{}"],
+    ["eval", "Eq", "--t", "0.5", "--q", "0.5", "--alpha", "{}"],  # a flag this kind does not read
 ])
 def test_nonfinite_flag_exit_3(runner, args, bad):
     res = runner.invoke(main, [a.format(bad) for a in args])
@@ -562,19 +563,122 @@ def test_config_rejects_garbage(runner, tmp_path):
     assert res.exit_code == 3
 
 
-# --------------------------------------------------------------- run config
+# ------------------------------------------------------- settings and defaults
 
-def test_run_config_defaults_and_grid():
-    from qfrac.cli import RunConfig, _run_config
+def test_solve_window_from_config_and_flags(runner, tmp_path):
+    default = invoke(runner, "solve").stdout.splitlines()[1:]
+    assert len(default) == 12 and default[-1].startswith("1,")  # the window ends at t = 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q=0.3\nsteps=6\nlambda=0.4\n", encoding="utf-8")  # lambda makes alpha show
+    res = invoke(runner, "solve", "--config", str(cfg), "--alpha", "0.9")
+    ts = [float(row.split(",")[0]) for row in res.stdout.splitlines()[1:]]
+    assert len(ts) == 6
+    assert ts[0] == pytest.approx(0.3 ** 5, rel=1e-15) and ts[-1] == pytest.approx(1.0, rel=1e-15)
+    flags = ["solve", "--q", "0.3", "--steps", "6", "--lambda", "0.4"]
+    assert res.stdout == invoke(runner, *flags, "--alpha", "0.9").stdout
+    assert res.stdout != invoke(runner, *flags).stdout  # the flag wins over alpha's default
 
-    rc = RunConfig()
-    grid = rc.grid()
-    assert grid.points[-1] == 1.0  # window ends at t = 1 by default
-    assert grid.count == 12
-    rc = _run_config({"q": "0.3", "steps": "6"}, alpha=0.9)
-    assert rc.q == 0.3
-    assert rc.alpha == 0.9  # flag wins over default
-    assert rc.grid().count == 6
+
+#: the table bound reads: v = 1 on the q = 0.5 window 1/32, ..., 1
+ONES_TABLE = "t,y\n" + "".join(f"{0.5 ** k!r},1.0\n" for k in range(5, -1, -1))
+
+#: command line, flag, config key, the flag value that gives the default's
+#: output (None: the command needs the setting), a file value, a flag value
+SETTINGS = [
+    (["eval", "gamma", "--alpha", "2"], "--q", "q", "0.5", "0.3", "0.7"),
+    (["eval", "ml", "--t", "1"], "--alpha", "alpha", None, "0.7", "0.3"),
+    (["eval", "ml", "--alpha", "0.5", "--t", "1"], "--beta", "beta", "1", "2", "0.5"),
+    (["eval", "ml", "--alpha", "0.5", "--t", "1"], "--lambda", "lambda", "0", "0.4", "0.2"),
+    (["eval", "ml", "--alpha", "0.5"], "--t", "t", None, "1", "2"),
+    (["eval", "ml", "--alpha", "0.5", "--t", "1"], "--t0", "t0", "0", "0.25", "0.5"),
+    (["eval", "qfac", "--t", "1", "--nu", "0.5"], "--s", "s", None, "0.5", "0.25"),
+    (["eval", "qfac", "--t", "1", "--s", "0.5"], "--nu", "nu", None, "1.5", "0.5"),
+    (["eval", "ml", "--alpha", "0.5", "--t", "1", "--lambda", "0.4"], "--tol", "tol", "1e-12",
+     "1e-4", "1e-8"),
+    (["eval", "Eq", "--t", "0.5"], "--format", "format", "csv", "json", "csv"),
+    (["solve", "--steps", "4"], "--problem", "problem", "linear", "sin", "linear"),
+    (["solve", "--steps", "4"], "--q", "q", "0.5", "0.3", "0.7"),
+    (["solve", "--steps", "4", "--lambda", "0.4"], "--alpha", "alpha", "0.5", "0.3", "0.9"),
+    (["solve", "--steps", "4"], "--lambda", "lambda", "0", "0.2", "0.4"),
+    (["solve", "--steps", "4"], "--y0", "y0", "1", "2", "3"),
+    (["solve", "--steps", "4"], "--n-start", "n_start", "3", "5", "4"),
+    (["solve"], "--steps", "steps", "12", "5", "6"),
+    (["solve", "--steps", "4"], "--forcing", "forcing", "zero", "identity", "zero"),
+    (["solve", "--steps", "4"], "--methods", "methods", "closed,iter,march", "march", "closed"),
+    (["solve", "--steps", "4", "--lambda", "0.4"], "--tol", "tol", "1e-12", "1e-4", "1e-8"),
+    (["solve", "--steps", "4"], "--format", "format", "csv", "json", "csv"),
+    (["bound", "ones.csv", "--mu", "0.4"], "--q", "q", "0.5", "0.3", "0.7"),
+    (["bound", "ones.csv", "--mu", "0.4"], "--alpha", "alpha", "0.5", "0.3", "0.9"),
+    (["bound", "ones.csv"], "--mu", "mu", None, "0.4", "0.2"),
+    # the bound of this table does not move with tol: invalid values show which one is read
+    (["bound", "ones.csv", "--mu", "0.4"], "--tol", "tol", "1e-12", "-1", "nan"),
+    (["bound", "ones.csv", "--mu", "0.4"], "--format", "format", "csv", "json", "csv"),
+    (["verify", "gronwall", "--cases", "1"], "--seed", "seed", "7", "3", "9"),
+    (["verify", "lemma1"], "--cases", "cases", "20", "2", "1"),
+    (["demo", "--steps", "4"], "--L", "l", "0.5", "0.2", "0.7"),
+    (["demo", "--steps", "4"], "--alpha", "alpha", "0.5", "0.3", "0.9"),
+    (["demo", "--steps", "4"], "--q", "q", "0.5", "0.3", "0.7"),
+    (["demo", "--steps", "4"], "--gamma", "gamma", "1", "2", "3"),
+    (["demo", "--steps", "4"], "--beta", "beta", "0.9", "0.5", "0.2"),
+    (["demo"], "--steps", "steps", "12", "5", "6"),
+    (["demo", "--steps", "4"], "--n-start", "n_start", "3", "5", "4"),
+    (["demo", "--steps", "4"], "--rhs", "rhs", "sin", "linear", "sin"),
+    (["demo", "--steps", "4"], "--tol", "tol", "1e-12", "1e-4", "1e-8"),
+    (["demo", "--steps", "4"], "--format", "format", "csv", "json", "csv"),
+]
+
+#: per command: a command line, and config keys it has no option for, all malformed
+FOREIGN_KEYS = {
+    "eval": (["eval", "gamma", "--alpha", "2"], "steps=x\nseed=x\nn_start=x\nmu=x\nl=x\n"),
+    "solve": (["solve", "--steps", "4"], "seed=x\nmu=x\nl=x\nt=x\ncases=x\n"),
+    "bound": (["bound", "ones.csv", "--mu", "0.4"], "steps=x\nseed=x\nn_start=x\nlambda=x\n"),
+    "verify": (["verify", "ratio"], "q=nan\nalpha=x\nsteps=x\ntol=x\nformat=json\n"),
+    "demo": (["demo", "--steps", "4"], "seed=x\nmu=x\nlambda=x\nmethods=x\n"),
+}
+
+
+def _run(runner, args, config=None):
+    """(exit code, stdout, stderr) of one command line, with ``config`` as its --config file."""
+    if config is not None:
+        Path("run.cfg").write_text(config, encoding="utf-8")
+        args = [*args, "--config", "run.cfg"]
+    res = runner.invoke(main, args)
+    return res.exit_code, res.stdout, res.stderr
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    (tmp_path / "ones.csv").write_text(ONES_TABLE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("args,flag,key,default,in_file,on_flag", SETTINGS,
+                         ids=[f"{args[0]} {flag}" for args, flag, *_ in SETTINGS])
+def test_flag_overrides_config_overrides_default(runner, workdir, args, flag, key, default,
+                                                  in_file, on_flag):
+    plain = _run(runner, args)
+    if default is None:
+        assert plain[0] == 3 and flag in json.loads(plain[2])["message"]
+    else:
+        assert plain == _run(runner, [*args, flag, default])
+    from_file = _run(runner, args, f"{key}={in_file}\n")
+    assert from_file == _run(runner, [*args, flag, in_file]) != plain
+    both = _run(runner, [*args, flag, on_flag], f"{key}={in_file}\n")
+    assert both == _run(runner, [*args, flag, on_flag]) != from_file
+    if key in ("problem", "forcing", "methods", "rhs", "format"):
+        return  # text settings: any file value converts
+    bad = _run(runner, args, f"{key}=1.5x\n")
+    assert bad[0] == 3 and bad[1] == ""
+    assert json.loads(bad[2])["message"].startswith(f"config key '{key}': ")
+
+
+@pytest.mark.parametrize("command", list(FOREIGN_KEYS))
+def test_config_keys_the_command_lacks_are_ignored(runner, workdir, command):
+    args, config = FOREIGN_KEYS[command]
+    plain = _run(runner, args)
+    assert plain[0] == 0
+    assert _run(runner, args, config + "nonsense=1\n") == plain
 
 
 # ------------------------------------------------------------ process-level

@@ -448,9 +448,12 @@ def test_omega_power_one_closed_basics():
     got = omega_power_one_closed(1.0, 1, FracOrder(1.0), GRID, 0)
     for i in range(GRID.count):
         assert got.values[i] == pytest.approx(GRID.points[i] - a, rel=1e-13, abs=1e-16)
-    # lam**n past the float range, and a NaN lam that used to come back as NaN values
+    # lam**n past the float range, the product with the factorial power past
+    # it, and a NaN lam that used to come back as NaN values
     with pytest.raises(RangeError, match="overflows the float range"):
         omega_power_one_closed(10.0, 2000, FracOrder(0.5), GRID, 0)
+    with pytest.raises(RangeError, match="overflows the float range"):
+        omega_power_one_closed(1e308, 1, FracOrder(0.5), make_grid(0.5, -5, 4), 0)
     with pytest.raises(DomainError, match="lam must be finite"):
         omega_power_one_closed(math.nan, 2, FracOrder(0.5), GRID, 0)
 

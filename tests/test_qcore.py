@@ -114,8 +114,11 @@ def test_qfp_equal_arguments():
 
 @pytest.mark.parametrize("q", [0.5, 0.9])  # 52 and 343 factors
 def test_qfp_nan_argument_propagates(q):
-    # NaN factors are kept in the product, not dropped as if they were 1
-    assert np.isnan(q_factorial_power(1.0, np.nan, 0.5, q))
+    # the public entry rejects a NaN argument; past that check, NaN factors
+    # are kept in the product, not dropped as if they were 1
+    with pytest.raises(DomainError, match="s must be finite"):
+        q_factorial_power(1.0, np.nan, 0.5, q)
+    assert np.isnan(_q_factorial_power(1.0, np.nan, 0.5, q, 10_000, None))
 
 
 def test_qfp_domain_errors():
